@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from fpharmonics.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ALL_GREEN = [
     ["norms", "--p", "13", "--seed", "3"],
@@ -26,12 +30,43 @@ ALL_GREEN = [
 ]
 
 
+def golden_path(argv) -> Path:
+    """tests/golden/<argv joined by '_', dashes dropped>.json.
+
+    Regenerate one with `fpharmonics <argv> --out <golden_path(argv)>`.
+    """
+    return GOLDEN_DIR / ("_".join(a.lstrip("-") for a in argv) + ".json")
+
+
+def assert_matches_golden(got, want, where="report"):
+    """Ints, strings, bools and nulls (so fractions and witnesses) match
+    exactly; floats match to rel/abs 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), \
+            f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), \
+            f"{where}: keys {sorted(got)} != {sorted(want)}"
+        for k in want:
+            assert_matches_golden(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), \
+            f"{where}: {got!r} != {want!r}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{where}: {got!r} != {want!r}"
+
+
 @pytest.mark.parametrize("argv", ALL_GREEN, ids=lambda a: " ".join(a))
 def test_subcommand_exit_zero(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema"] == 1
+    assert_matches_golden(report, json.loads(golden_path(argv).read_text()))
 
 
 def test_reports_are_deterministic(tmp_path):
