@@ -36,6 +36,6 @@ from .regularity import (KvnResult, PartitionAtoms, QuadDecomposition,
                          project, quad_decompose, smooth_box_approx,
                          smooth_majorant)
 from .search import (SearchResult, check_interval_coloring, fp_coloring_scan,
-                     interval_backtrack, interval_sweep, quadruple_count)
+                     interval_backtrack, interval_sweep)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Every constant here is an implementation-calibrated stand-in, never a
 claim about sharp values: each was obtained by running the fixed seeded
 suite below, recording the worst observed ratio, and doubling it.  The
 suites are reproducible (seeds recorded next to each value) and can be
-re-run via the calibrate_* functions or `fpharmonics verify`.
+re-run via the calibrate_* functions (all four at once with run_all).
+`fpharmonics verify` does not re-run them.
 
 Fixed (non-calibrated) entries:
   * babycount_single_mode = 6: single off-lattice mode error |E_x F(Psi(x))|

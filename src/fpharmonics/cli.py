@@ -20,7 +20,7 @@ from . import calibration
 from .field import MultChar, cached_field
 from .harmonic import (Signal, add_invert, add_transform, convolve, indicator,
                        norm_qm, norm_u2_plus, norm_u2_times, norm_u3_plus,
-                       random_signal, signal_from_json)
+                       random_signal, signal_load)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -79,17 +79,12 @@ def _rng(args) -> np.random.Generator:
     return np.random.default_rng(args.seed)
 
 
-def _load_signal(path, ctx=None):
-    with open(path) as fh:
-        return signal_from_json(json.load(fh), ctx)
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_norms(args):
     ctx = cached_field(args.p)
     if args.infile:
-        f = _load_signal(args.infile, ctx)
+        f = signal_load(args.infile, ctx)
     else:
         f = random_signal(ctx, _rng(args), unit_l2=True)
     u2p = norm_u2_plus(f)
@@ -115,7 +110,7 @@ def cmd_norms(args):
 def cmd_transform(args):
     ctx = cached_field(args.p)
     if args.infile:
-        f = _load_signal(args.infile, ctx)
+        f = signal_load(args.infile, ctx)
     else:
         f = random_signal(ctx, _rng(args))
     spec = add_transform(f)
@@ -224,7 +219,7 @@ def cmd_decompose(args):
     from .regularity import decomposable_unit_signal, quad_decompose
     ctx = cached_field(args.p)
     if args.infile:
-        f = _load_signal(args.infile, ctx)
+        f = signal_load(args.infile, ctx)
     else:
         f = decomposable_unit_signal(ctx, _rng(args))
     dec = quad_decompose(f, args.eps)
@@ -397,86 +392,68 @@ def cmd_verify(args):
 
 # -- argument parsing --------------------------------------------------------
 
+# Flags shared by several subcommands: (type, default).  A subcommand
+# accepts only the flags its cmd_* reads, plus --out and --format.
+COMMON_FLAGS = {"p": (int, 13), "r": (int, 2), "d": (int, 1),
+                "eps": (float, 0.5), "seed": (int, 0)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpharmonics",
         description="Finite-field harmonic analysis batch tool")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p=13, r=2, d=1, eps=0.5):
-        sp.add_argument("--p", type=int, default=p)
-        sp.add_argument("--r", type=int, default=r)
-        sp.add_argument("--d", type=int, default=d)
-        sp.add_argument("--eps", type=float, default=eps)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap (all reductions deterministic)")
+    def command(name, func, *flags, **defaults):
+        sp = sub.add_parser(name)
+        for flag in flags:
+            kind, default = COMMON_FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind,
+                            default=defaults.get(flag, default))
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.set_defaults(func=func)
         return sp
 
-    sp = common(sub.add_parser("norms"))
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.set_defaults(func=cmd_norms)
+    command("norms", cmd_norms, "p", "seed").add_argument(
+        "--in", dest="infile", default=None)
+    command("transform", cmd_transform, "p", "seed").add_argument(
+        "--in", dest="infile", default=None)
+    command("count", cmd_count, "p").add_argument(
+        "--example", default="quadratic-character")
+    command("census", cmd_census, "p", "r", "seed").add_argument(
+        "--coloring", default=None)
 
-    sp = common(sub.add_parser("transform"))
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.set_defaults(func=cmd_transform)
-
-    sp = common(sub.add_parser("count"))
-    sp.add_argument("--example", default="quadratic-character")
-    sp.set_defaults(func=cmd_count)
-
-    sp = common(sub.add_parser("census"))
-    sp.add_argument("--coloring", default=None)
-    sp.set_defaults(func=cmd_census)
-
-    sp = common(sub.add_parser("scan"), p=5)
+    sp = command("scan", cmd_scan, "p", "r", "seed", p=5)
     sp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="exhaustive")
     sp.add_argument("--count", type=int, default=1000)
-    sp.set_defaults(func=cmd_scan)
 
-    sp = common(sub.add_parser("bohr"))
-    sp.set_defaults(func=cmd_bohr)
+    command("bohr", cmd_bohr, "p", "d", "eps", "seed")
+    command("equidist", cmd_equidist, "p", "d", "seed")
+    command("countlemma", cmd_countlemma, "p", "d", "eps", "seed", p=31)
+    command("decompose", cmd_decompose, "p", "eps", "seed", p=61).add_argument(
+        "--in", dest="infile", default=None)
 
-    sp = common(sub.add_parser("equidist"))
-    sp.set_defaults(func=cmd_equidist)
-
-    sp = common(sub.add_parser("countlemma"), p=31)
-    sp.set_defaults(func=cmd_countlemma)
-
-    sp = common(sub.add_parser("decompose"), p=61, eps=0.5)
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = common(sub.add_parser("kvn"), p=61)
+    sp = command("kvn", cmd_kvn, "p", "r", "seed", p=61)
     sp.add_argument("--delta", type=float, default=0.3)
     sp.add_argument("--R", type=int, default=32)
-    sp.set_defaults(func=cmd_kvn)
 
-    sp = common(sub.add_parser("ramsey"))
+    sp = command("ramsey", cmd_ramsey, "r")
     sp.add_argument("--coloring", default=None)
     sp.add_argument("--mode", choices=("oracle", "constructive"),
                     default="oracle")
-    sp.set_defaults(func=cmd_ramsey)
 
-    sp = common(sub.add_parser("drc"))
-    sp.set_defaults(func=cmd_drc)
+    command("drc", cmd_drc, "seed")
+    command("charsum", cmd_charsum, "p", "seed", p=31)
 
-    sp = common(sub.add_parser("charsum"), p=31)
-    sp.set_defaults(func=cmd_charsum)
-
-    sp = common(sub.add_parser("search"))
+    sp = command("search", cmd_search, "r")
     sp.add_argument("--N", type=int, default=20)
     sp.add_argument("--distinct", action="store_true")
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--sweep", action="store_true")
-    sp.set_defaults(func=cmd_search)
 
-    sp = common(sub.add_parser("verify"))
-    sp.set_defaults(func=cmd_verify)
-
+    command("verify", cmd_verify, "p", "seed")
     return parser
 
 

@@ -13,14 +13,12 @@ constants become measurable instead of assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .field import FieldCtx
-from .harmonic import (AddSpectrum, Signal, add_transform, norm_qm,
-                       norm_u2_plus, norm_u2_times, norm_u3_plus,
-                       require_same_ctx)
+from .harmonic import (Signal, add_transform, indicator, norm_qm, norm_u2_plus,
+                       norm_u2_times, norm_u3_plus, require_same_ctx)
 
 
 def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
@@ -136,16 +134,11 @@ class Coloring:
         object.__setattr__(self, "assign", arr)
         if arr.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got {arr.shape}")
-        if np.any(arr >= self.r):
+        if np.any(arr >= self.r) or np.any(arr < self.UNASSIGNED):
             raise ValueError("color id out of range")
 
     def is_total(self) -> bool:
         return bool(np.all(self.assign >= 0))
-
-    def class_indicator(self, ctx: FieldCtx, i: int) -> Signal:
-        if self.n != ctx.p:
-            raise ValueError("coloring domain is not F_p")
-        return Signal(ctx, (self.assign == i).astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -160,18 +153,23 @@ class QuadrupleCensus:
                 "per_color": list(self.per_color), "total": self.total}
 
 
+def monochromatic_mask(ctx: FieldCtx, assign: np.ndarray) -> np.ndarray:
+    """Boolean matrix [x, y]: x, y, x+y, xy all get the same color under
+    the total coloring `assign` of F_p (an int array of length p)."""
+    cx = assign[:, None]
+    return ((cx == assign[None, :])
+            & (cx == assign[ctx.grid("add")])
+            & (cx == assign[ctx.grid("mul")]))
+
+
 def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
     """Exact per-color counts of pairs (x,y) with x, y, x+y, xy monochromatic."""
     if c.n != ctx.p:
         raise ValueError("coloring domain is not F_p")
     if not c.is_total():
         raise ValueError("partial coloring rejected; census needs a total coloring")
-    a = c.assign
-    cx = a[:, None]
-    same = ((cx == a[None, :])
-            & (cx == a[ctx.grid("add")])
-            & (cx == a[ctx.grid("mul")]))
-    per = [int(np.sum(same & (cx == i))) for i in range(c.r)]
+    per_x = np.count_nonzero(monochromatic_mask(ctx, c.assign), axis=1)
+    per = [int(per_x[c.assign == i].sum()) for i in range(c.r)]
     return QuadrupleCensus(p=ctx.p, r=c.r, per_color=tuple(per), total=sum(per))
 
 
@@ -309,10 +307,7 @@ def check_simple_lemma(f1: Signal, f3: Signal, f4: Signal, S,
     K = max(f.linf_norm() for f in (f1, f3, f4))
     for i, f in zip((1, 3, 4), (f1, f3, f4)):
         _require(f.lp_norm(4) <= 3 + tol, f"||f{i}||_4 > 3")
-    ind = np.zeros(p, dtype=np.complex128)
-    for x in S:
-        ind[x % p] = 1.0
     mu_S = len(set(x % p for x in S)) / p
-    lhs = abs(T(f1, Signal(ctx, ind), f3, f4))
+    lhs = abs(T(f1, indicator(ctx, S), f3, f4))
     rhs = K**3 / p + 9 * mu_S * min(f.lp_norm(2) for f in (f1, f3, f4))
     return MarginReport("simple_lemma", lhs, rhs, {"K": K, "mu_S": mu_S})

@@ -150,18 +150,7 @@ def eval_mult_char(ctx: FieldCtx, chi: MultChar, x: int) -> complex:
     return ctx.roots_pm1[(chi.k * int(ctx.dlog[x])) % (ctx.p - 1)]
 
 
-def eval_quad_phase(ctx: FieldCtx, phi: QuadPhase, x: int) -> complex:
-    """e_p(r*x^2 + s*x)."""
-    return ctx.roots_p[(phi.r * x * x + phi.s * x) % ctx.p]
-
-
 # -- vectorized whole-field evaluations -----------------------------------
-
-def add_char_values(ctx: FieldCtx, r: int) -> np.ndarray:
-    """Array of e_p(r*x) for x = 0..p-1."""
-    x = np.arange(ctx.p, dtype=np.int64)
-    return ctx.roots_p[(r % ctx.p) * x % ctx.p]
-
 
 def mult_char_values(ctx: FieldCtx, chi: MultChar) -> np.ndarray:
     """Array of chi(x) for x = 0..p-1 (chi(0) = 1)."""

@@ -37,6 +37,8 @@ class Signal:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.ctx.p,):
             raise ValueError(f"expected {self.ctx.p} values, got {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("signal values must be finite (no NaN or inf)")
 
     @property
     def p(self) -> int:
@@ -102,10 +104,6 @@ class AddSpectrum:
     ctx: FieldCtx
     coeffs: np.ndarray
 
-    def parseval_check(self, f: Signal) -> float:
-        return abs(float(np.sum(np.abs(self.coeffs) ** 2))
-                   - float(np.mean(np.abs(f.values) ** 2)))
-
 
 @dataclass(frozen=True)
 class MultSpectrum:
@@ -152,10 +150,17 @@ class NormResult(NamedTuple):
     witness: tuple  # maximizer parameters, lexicographically smallest
 
 
-def _conj_quad_column(ctx: FieldCtx, r: int) -> np.ndarray:
-    """conj(e_p(r x^2)) for x = 0..p-1."""
-    x = np.arange(ctx.p, dtype=np.int64)
-    return ctx.roots_p[(-r * x * x) % ctx.p]
+def _quad_demodulated(f: Signal) -> np.ndarray:
+    """Matrix [r, x] of f(x) conj(e_p(r x^2)), all r = 0..p-1 at once."""
+    p = f.p
+    x = np.arange(p, dtype=np.int64)
+    return f.values * f.ctx.roots_p[np.multiply.outer(-x, x * x % p) % p]
+
+
+def quad_phase_inner_products(f: Signal) -> np.ndarray:
+    """Matrix [r, s] of <f, e_p(r x^2 + s x)>: row r is the additive
+    transform of f conj(e_p(r x^2)), all rows in one batched transform."""
+    return np.fft.fft(_quad_demodulated(f), axis=1) / f.p
 
 
 def _conj_chi_matrix(ctx: FieldCtx) -> np.ndarray:
@@ -184,14 +189,9 @@ def norm_u2_times(f: Signal) -> NormResult:
 
 def norm_u3_plus(f: Signal) -> NormResult:
     """max over quadratic phases e_p(r x^2 + s x) of |<f, phi>|; witness (r, s)."""
-    p = f.p
-    best_val, best_wit = -1.0, (0, 0)
-    for r in range(p):
-        mags = np.abs(np.fft.fft(f.values * _conj_quad_column(f.ctx, r))) / p
-        s = int(np.argmax(mags))
-        if mags[s] > best_val:
-            best_val, best_wit = float(mags[s]), (r, s)
-    return NormResult(best_val, best_wit)
+    mags = np.abs(quad_phase_inner_products(f))
+    r, s = divmod(int(np.argmax(mags)), f.p)
+    return NormResult(float(mags[r, s]), (r, s))
 
 
 def norm_qm(f: Signal) -> NormResult:
@@ -199,8 +199,7 @@ def norm_qm(f: Signal) -> NormResult:
     p = f.p
     C = _conj_chi_matrix(f.ctx)
     best_val, best_wit = -1.0, (0, 0, 0)
-    for r in range(p):
-        q = f.values * _conj_quad_column(f.ctx, r)
+    for r, q in enumerate(_quad_demodulated(f)):
         # rows: character index k, columns: x; transform over x covers all s
         mags = np.abs(np.fft.fft(C * q[None, :], axis=1)).T / p  # [s, k]
         flat = int(np.argmax(mags))
@@ -237,11 +236,6 @@ def signal_from_json(obj: dict, ctx: Optional[FieldCtx] = None) -> Signal:
         raise ValueError(f"ctx p={ctx.p} does not match payload p={p}")
     vals = np.array([complex(re, im) for re, im in obj["values"]])
     return Signal(ctx, vals)
-
-
-def signal_dump(f: Signal, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(signal_to_json(f), fh)
 
 
 def signal_load(path, ctx: Optional[FieldCtx] = None) -> Signal:

@@ -91,15 +91,6 @@ class GPoint:
                       tuple((a - b) % p for a, b in zip(self.th2, other.th2)),
                       tuple((a - b) % q for a, b in zip(self.v, other.v)))
 
-    def add(self, other: "GPoint") -> "GPoint":
-        if self.p != other.p or self.d != other.d:
-            raise ValueError("GPoint mismatch")
-        p, q = self.p, self.p - 1
-        return GPoint(p,
-                      tuple((a + b) % p for a, b in zip(self.th1, other.th1)),
-                      tuple((a + b) % p for a, b in zip(self.th2, other.th2)),
-                      tuple((a + b) % q for a, b in zip(self.v, other.v)))
-
     def fractions(self):
         """The 3d coordinates as exact Fractions in [0,1)."""
         p, q = self.p, self.p - 1
@@ -210,17 +201,6 @@ class HGroup:
     def size(self) -> int:
         return len(self.gplus) ** 2 * len(self.gtimes)
 
-    def gplus_set(self):
-        return {tuple(int(v) for v in row) for row in self.gplus}
-
-    def gtimes_set(self):
-        return {tuple(int(v) for v in row) for row in self.gtimes}
-
-    def contains_point(self, pt: GPoint) -> bool:
-        return (tuple(pt.th1) in self.gplus_set()
-                and tuple(pt.th2) in self.gplus_set()
-                and tuple(pt.v) in self.gtimes_set())
-
 
 def _cyclic_orbit(vec: Sequence[int], modulus: int, n_params: int) -> np.ndarray:
     seen = {}
@@ -329,18 +309,6 @@ def _check_trig_budget(F: TrigPoly):
         raise ValueError(f"budget exceeded: trig norm {trig_norm(F):.2f} > {TRIG_MAX_NORM}")
 
 
-def trig_eval(F: TrigPoly, pt: GPoint) -> complex:
-    """Evaluate F at a GPoint; phase arithmetic is integer mod p / mod p-1."""
-    p, q = pt.p, pt.p - 1
-    total = 0.0 + 0.0j
-    for (x1, x2, x3), c in F.terms.items():
-        n12 = (sum(a * b for a, b in zip(x1, pt.th1))
-               + sum(a * b for a, b in zip(x2, pt.th2))) % p
-        n3 = sum(a * b for a, b in zip(x3, pt.v)) % q
-        total += c * np.exp(2j * np.pi * (n12 / p + n3 / q))
-    return complex(total)
-
-
 def trig_eval_batch(F: TrigPoly, p: int, TH1: np.ndarray, TH2: np.ndarray,
                     V: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on N points given numerator arrays (N, d)."""
@@ -363,12 +331,25 @@ def compose_signal(psi: QMSystem, F: TrigPoly) -> Signal:
 
 # -- Bohr sets, boxes, densities ---------------------------------------------
 
+def _rows_within(rows: np.ndarray, den: int, eps: Fraction) -> np.ndarray:
+    """Row mask: every numerator n in the row (over den, 0 <= n < den) has
+    ||n/den||_{R/Z} <= eps.  Exact: min(n, den-n) is an integer, so the test
+    is against floor(eps*den), computed once in Python ints (a float eps has
+    a denominator up to 2^54, so eps.denominator * min would overflow int64)."""
+    bound = eps.numerator * den // eps.denominator
+    return np.all(np.minimum(rows, den - rows) <= bound, axis=1)
+
+
 def bohr_set(psi: QMSystem, eps) -> list:
-    """B(Psi, eps) = { x : |Psi(x)| <= eps }, decided in exact rationals."""
+    """B(Psi, eps) = { x : |Psi(x)| <= eps }, decided in exact integers."""
     eps = as_fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("need 0 < eps <= 1")
-    return [x for x in range(psi.ctx.p) if eval_system(psi, x).metric() <= eps]
+    p = psi.ctx.p
+    th1, th2, v = orbit_arrays(psi)
+    ok = (_rows_within(th1, p, eps) & _rows_within(th2, p, eps)
+          & _rows_within(v, p - 1, eps))
+    return np.flatnonzero(ok).tolist()
 
 
 def box_fraction(psi: QMSystem, eps) -> tuple:
@@ -376,19 +357,8 @@ def box_fraction(psi: QMSystem, eps) -> tuple:
     eps = as_fraction(eps)
     H = enumerate_H(psi)
     p, q = psi.ctx.p, psi.ctx.p - 1
-
-    def small(rows, den):
-        thr = eps * den
-        ok = np.ones(len(rows), dtype=bool)
-        for j in range(rows.shape[1]):
-            n = rows[:, j]
-            m = np.minimum(n, den - n)
-            # exact comparison m/den <= eps via integers
-            ok &= np.array([Fraction(int(t), den) <= eps for t in m])
-        return ok
-
-    okp = small(H.gplus, p)
-    okt = small(H.gtimes, q)
+    okp = _rows_within(H.gplus, p, eps)
+    okt = _rows_within(H.gtimes, q, eps)
     inside = int(np.sum(okp)) ** 2 * int(np.sum(okt))
     frac = Fraction(inside, H.size)
     return frac, eps ** (3 * psi.d)

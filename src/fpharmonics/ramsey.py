@@ -92,14 +92,6 @@ def difference_multiset(group: FiniteGroup, T: Sequence[Element]) -> dict:
     return N
 
 
-def pair_degree_table(A: Iterable[Pair]) -> dict:
-    """Counts D_A(u) = #{t : (t, u) in A} for each second coordinate u."""
-    D: dict = {}
-    for t, u in A:
-        D[u] = D.get(u, 0) + 1
-    return D
-
-
 def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
              distinct: bool = False, method: str = "auto") -> Fraction:
     """Triple density of A over T, an exact rational with denominator |T|^5.

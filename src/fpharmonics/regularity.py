@@ -23,7 +23,8 @@ import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
 from .field import FieldCtx
-from .harmonic import Signal, inner_product, norm_qm, norm_u3_plus
+from .harmonic import (Signal, inner_product, norm_qm, norm_u3_plus,
+                       quad_phase_inner_products)
 from .qm import QMSystem, TrigPoly, orbit_arrays, compose_signal
 
 SQRT2_BITS = 96
@@ -39,10 +40,6 @@ def interval_index(num: int, den: int, R: int) -> int:
     return q % R
 
 
-def interval_contains(t: int, R: int, num: int, den: int) -> bool:
-    return interval_index(num, den, R) == t % R
-
-
 @dataclass(frozen=True)
 class PartitionAtoms:
     """Atoms of F_p under the generalised-interval partition of G^d at scale R."""
@@ -55,9 +52,6 @@ class PartitionAtoms:
     @property
     def n_atoms(self) -> int:
         return len(self.groups)
-
-    def atom_of(self, x: int):
-        return self.keys[x % self.psi.ctx.p]
 
 
 def build_atoms(psi: QMSystem, R: int) -> PartitionAtoms:
@@ -117,16 +111,6 @@ class QuadDecomposition:
                 "terms": [{"r": r, "s": s, "lambda": [c.real, c.imag]}
                           for (r, s), c in sorted(self.lambdas.items())],
                 "residual_u3": self.residual_u3}
-
-
-def quad_phase_inner_products(f: Signal) -> np.ndarray:
-    """Matrix [r, s] of <f, e_p(r x^2 + s x)> (one transform per r)."""
-    p = f.p
-    x = np.arange(p, dtype=np.int64)
-    out = np.empty((p, p), dtype=np.complex128)
-    for r in range(p):
-        out[r] = np.fft.fft(f.values * f.ctx.roots_p[(-r * x * x) % p]) / p
-    return out
 
 
 def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
@@ -252,6 +236,8 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     Pythagoras step each iteration (asserted), so the loop stops within
     ceil(budget_c * r / delta^2) iterations or reports the energy trace.
     """
+    if not delta > 0:
+        raise ValueError(f"need delta > 0, got {delta}")
     for f in fs:
         if f.linf_norm() > 1 + tol:
             raise ValueError("||f_i||_inf > 1")
@@ -366,7 +352,7 @@ class SmoothBox:
     indicators; F >= 1 on the generalised interval I_{R;t,u,v}, F <= the
     small ceiling off the gamma-enlargement, 0 <= F <= 1 + eps/(10 R^{3d}).
     Kept in factored form: the tensor-product coefficients are never
-    materialized unless to_trigpoly() is asked for and fits the budget."""
+    materialized."""
 
     d: int
     R: int
@@ -382,15 +368,6 @@ class SmoothBox:
         for j, fac in enumerate(self.factors):
             out = out * fac.eval(coords[:, j])
         return out
-
-    def eval_gpoint(self, pt) -> float:
-        coords = [float(c) for triple in pt.fractions() for c in
-                  (triple[0], triple[1], triple[2])]
-        # factor order is th1 block, th2 block, v block
-        th1 = coords[0::3]
-        th2 = coords[1::3]
-        v = coords[2::3]
-        return float(self.eval_coords(np.array([th1 + th2 + v]))[0])
 
     def compose_signal(self, psi: QMSystem) -> Signal:
         th1, th2, v = orbit_arrays(psi)
@@ -415,27 +392,6 @@ class SmoothBox:
         for f in self.factors:
             mass *= f.coef_mass()
         return float(max(max(per_block), mass))
-
-    def to_trigpoly(self, term_budget: int = 200_000) -> TrigPoly:
-        total = 1
-        for f in self.factors:
-            total *= 2 * f.deg + 1
-        if total > term_budget:
-            raise ValueError(f"budget exceeded: {total} tensor terms")
-        import itertools
-        terms = {}
-        ranges = [range(-f.deg, f.deg + 1) for f in self.factors]
-        for combo in itertools.product(*ranges):
-            c = 1.0 + 0.0j
-            for j, fac in zip(combo, self.factors):
-                c *= fac.coeffs[j + fac.deg]
-            if abs(c) < 1e-15:
-                continue
-            xi1 = tuple(combo[:self.d])
-            xi2 = tuple(combo[self.d:2 * self.d])
-            xi3 = tuple(combo[2 * self.d:])
-            terms[(xi1, xi2, xi3)] = terms.get((xi1, xi2, xi3), 0) + c
-        return TrigPoly(self.d, terms)
 
 
 def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],

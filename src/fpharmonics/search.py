@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .counting import monochromatic_mask
 from .field import FieldCtx
 
 MAX_N = 300
@@ -165,20 +166,6 @@ def interval_sweep(r: int, n_max: int, distinct: bool = False,
             "results": results}
 
 
-def quadruple_count(ctx: FieldCtx, coloring: np.ndarray) -> int:
-    """Exact number of pairs (x, y) in F_p^2 with x, y, x+y, xy all the
-    same color."""
-    p = ctx.p
-    coloring = np.asarray(coloring, dtype=np.int64)
-    if coloring.shape != (p,):
-        raise ValueError("coloring must assign a color to each of 0..p-1")
-    cx = coloring[:, None]
-    cy = coloring[None, :]
-    cs = coloring[ctx.grid("add")]
-    cm = coloring[ctx.grid("mul")]
-    return int(np.sum((cx == cy) & (cx == cs) & (cx == cm)))
-
-
 def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
                      count: int = 1000, rng=None) -> dict:
     """Min / mean monochromatic quadruple count over F_p colorings.
@@ -188,6 +175,8 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     a lower-bound witness for the c_r * p^2 quadruple guarantee at this p.
     """
     p = ctx.p
+    if r < 1:
+        raise ValueError(f"need r >= 1 colors, got {r}")
     if mode == "exhaustive":
         if r**p > EXHAUSTIVE_BUDGET:
             raise ValueError(f"r^p = {r**p} exceeds the exhaustive budget")
@@ -195,6 +184,8 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
                      for c in itertools.product(range(r), repeat=p))
         n_total = r**p
     elif mode == "random":
+        if count < 1:
+            raise ValueError(f"random scan needs count >= 1, got {count}")
         if rng is None:
             rng = np.random.default_rng()
         colorings = (rng.integers(0, r, size=p) for _ in range(count))
@@ -206,7 +197,7 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     best_coloring = None
     total = 0
     for c in colorings:
-        q = quadruple_count(ctx, c)
+        q = int(np.count_nonzero(monochromatic_mask(ctx, c)))
         total += q
         if best is None or q < best:
             best, best_coloring = q, np.array(c)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from fpharmonics.cli import main
+from fpharmonics.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -104,8 +106,35 @@ def test_assertion_failure_exits_one(capsys):
     assert main(["decompose", "--p", "13", "--eps", "0.2", "--seed", "0"]) == 1
 
 
-def test_usage_error_exits_two(capsys):
-    assert main(["bohr", "--p", "9"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["bohr", "--p", "9"],
+    ["scan", "--mode", "random", "--count", "0"],
+    ["scan", "--r", "0"],
+    ["kvn", "--delta", "0"],
+], ids=lambda a: " ".join(a))
+def test_usage_error_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_subcommand_takes_only_flags_it_reads(command):
+    sp = _subparsers()[command]
+    assert "--threads" not in sp.format_help()
+    source = inspect.getsource(sp.get_default("func"))
+    for action in sp._actions:
+        if action.dest in ("help", "out", "format"):
+            continue
+        read = f"args.{action.dest}" in source
+        if action.dest == "seed":
+            read = read or "_rng(args)" in source
+        assert read, f"{command} accepts --{action.dest} but never reads it"
 
 
 def test_search_sweep(tmp_path):

@@ -95,6 +95,14 @@ def test_census_rejects_partial():
         census_quadruples(ctx, Coloring(7, 2, assign))
 
 
+@pytest.mark.parametrize("bad", (-2, -5))
+def test_coloring_rejects_colors_below_unassigned(bad):
+    assign = np.zeros(7, dtype=int)
+    assign[2] = bad
+    with pytest.raises(ValueError):
+        Coloring(7, 2, assign)
+
+
 def test_triples_full_field():
     ctx = cached_field(11)
     assert census_triples(ctx, range(11), "shkredov") == 11**2

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpharmonics.counting import phased_character_example
 from fpharmonics.field import cached_field
 from fpharmonics.harmonic import (Signal, add_invert, add_transform, convolve,
                                   indicator, inner_product, norm_qm,
                                   norm_u2_plus, norm_u2_times, norm_u3_plus,
-                                  ones, qm_basis_signal, random_signal,
+                                  ones, qm_basis_signal,
+                                  quad_phase_inner_products, random_signal,
                                   signal_from_json, signal_to_json)
 
 PRIMES = (5, 7, 13, 31)
@@ -110,6 +112,52 @@ def test_norm_chain(p, seed):
     assert u2 <= u3 + 1e-12
     assert u3 <= qm + 1e-12
     assert qm <= l1 + 1e-12
+
+
+def u3_plus_loop(f):
+    """Reference: one length-p transform per quadratic coefficient r,
+    keeping the first r whose best s strictly improves."""
+    p = f.p
+    x = np.arange(p)
+    best_val, best_wit = -1.0, (0, 0)
+    for r in range(p):
+        row = np.fft.fft(f.values * f.ctx.roots_p[(-r * x * x) % p]) / p
+        mags = np.abs(row)
+        s = int(np.argmax(mags))
+        if mags[s] > best_val:
+            best_val, best_wit = float(mags[s]), (r, s)
+    return best_val, best_wit
+
+
+@pytest.mark.parametrize("p", (13, 31, 61, 101))
+def test_batched_u3_plus_matches_loop(p, rng):
+    ctx = cached_field(p)
+    signals = [random_signal(ctx, rng, kind=k, unit_l2=True)
+               for k in ("gaussian", "signs", "bounded")]
+    signals += list(phased_character_example(ctx)[:4])
+    signals += [qm_basis_signal(ctx, 2, 3, 0), qm_basis_signal(ctx, 1, 0, 1),
+                ones(ctx)]
+    for f in signals:
+        value, witness = u3_plus_loop(f)
+        res = norm_u3_plus(f)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert res.witness == witness
+        r, s = witness
+        assert abs(quad_phase_inner_products(f)[r, s]) == pytest.approx(
+            value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(0, np.nan)))
+def test_signal_rejects_non_finite(bad):
+    ctx = cached_field(7)
+    vals = np.ones(7, dtype=np.complex128)
+    vals[3] = bad
+    with pytest.raises(ValueError):
+        Signal(ctx, vals)
+    payload = signal_to_json(ones(ctx))
+    payload["values"][3] = [complex(bad).real, complex(bad).imag]
+    with pytest.raises(ValueError):
+        signal_from_json(payload)
 
 
 def test_qm_norm_attains_basis_signal():

@@ -107,6 +107,29 @@ def test_box_fraction_floor():
     assert frac >= floor
 
 
+def test_exact_integer_bohr_and_box_match_fraction_loops(rng):
+    """Reference: Bohr membership by the exact GPoint metric, box membership
+    by one Fraction comparison per coordinate."""
+    for trial in range(40):
+        p = int(rng.choice([13, 31, 61, 101]))
+        d = int(rng.integers(1, 4))
+        psi = system(p, [(int(rng.integers(0, p)), int(rng.integers(0, p - 1)))
+                         for _ in range(d)])
+        eps = (float(rng.uniform(0.01, 1.0)) if trial % 2
+               else Fraction(int(rng.integers(1, 20)), int(rng.integers(20, 41))))
+        exact = Fraction(*eps.as_integer_ratio()) if trial % 2 else eps
+        assert bohr_set(psi, eps) == [
+            x for x in range(p) if eval_system(psi, x).metric() <= exact]
+
+        def inside(rows, den):
+            return sum(all(Fraction(min(n, den - n), den) <= exact for n in row)
+                       for row in rows.tolist())
+        H = enumerate_H(psi)
+        expected = Fraction(inside(H.gplus, p) ** 2 * inside(H.gtimes, p - 1),
+                            H.size)
+        assert box_fraction(psi, eps) == (expected, exact ** (3 * d))
+
+
 def test_bohr_density_p101():
     psi = system(101, [(1, 1)])
     mu, floor = check_bohr_density(psi, Fraction(1, 2))

@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 
 from fpharmonics.field import cached_field
 from fpharmonics.search import (check_interval_coloring, fp_coloring_scan,
                                 interval_backtrack, interval_patterns,
-                                interval_sweep, quadruple_count)
+                                interval_sweep)
 
 
 def brute_force_sat(N, r, distinct=False):
@@ -78,5 +77,6 @@ def test_scan_budget_guard():
 
 
 def test_quadruple_count_monochrome():
-    ctx = cached_field(11)
-    assert quadruple_count(ctx, np.zeros(11, dtype=int)) == 11**2
+    # r = 1 leaves one coloring, which makes every pair monochromatic
+    out = fp_coloring_scan(cached_field(11), 1)
+    assert out["scanned"] == 1 and out["min"] == out["mean"] == 11**2
