@@ -334,8 +334,9 @@ def compose_signal(psi: QMSystem, F: TrigPoly) -> Signal:
 def _rows_within(rows: np.ndarray, den: int, eps: Fraction) -> np.ndarray:
     """Row mask: every numerator n in the row (over den, 0 <= n < den) has
     ||n/den||_{R/Z} <= eps.  Exact: min(n, den-n) is an integer, so the test
-    is against floor(eps*den), computed once in Python ints (a float eps has
-    a denominator up to 2^54, so eps.denominator * min would overflow int64)."""
+    is against floor(eps*den), computed once in Python ints (a float eps can
+    have a denominator of 2^54 or more, so eps.denominator * min(n, den-n)
+    would overflow int64)."""
     bound = eps.numerator * den // eps.denominator
     return np.all(np.minimum(rows, den - rows) <= bound, axis=1)
 
