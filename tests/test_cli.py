@@ -114,7 +114,6 @@ def test_assertion_failure_exits_one(capsys):
 ], ids=lambda a: " ".join(a))
 def test_usage_error_exits_two(argv, capsys):
     assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def _subparsers():
