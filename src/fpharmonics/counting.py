@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import FieldCtx
-from .harmonic import (Signal, add_transform, indicator, norm_qm, norm_u2_plus,
-                       norm_u2_times, norm_u3_plus, require_same_ctx)
+from .harmonic import (Signal, add_transform, difference_spectrum, indicator, norm_qm,
+                       norm_u2_plus, norm_u2_times, norm_u3_plus, require_same_ctx)
 
 
 def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
@@ -96,25 +96,16 @@ def differencing_sup(f: Signal) -> float:
     """sup_{h in F*, r in F} E_{z in F} |(Delta_{zh} f)^(zr)|^2,
     where Delta_w f(x) = f(x+w) conj(f(x)).
 
-    Bounded by ||f||_{u3+}^2 whenever ||f||_2 <= 1.
+    Bounded by ||f||_{u3+}^2 whenever ||f||_2 <= 1.  With D the difference
+    spectrum, the mean is D[:, 0].sum() / p for r = 0; for r != 0 it is
+    (D[0, 0] + sum_{u in F*} D[u, u t]) / p with t = r/h, which depends on
+    (h, r) only through dlog r - dlog h: a cyclic diagonal of D by dlog.
     """
-    ctx = f.ctx
-    p = ctx.p
-    v = f.values
-    # Dhat[w, s] = (Delta_w f)^(s); one transform per difference w
-    deltas = np.empty((p, p), dtype=np.complex128)
-    for w in range(p):
-        deltas[w] = np.roll(v, -w) * np.conj(v)
-    dhat = np.abs(np.fft.fft(deltas, axis=1) / p) ** 2
-    zs = np.arange(p, dtype=np.int64)
-    best = 0.0
-    for h in range(1, p):
-        zh = zs * h % p
-        for r in range(p):
-            val = float(np.mean(dhat[zh, zs * r % p]))
-            if val > best:
-                best = val
-    return best
+    p = f.p
+    D = difference_spectrum(f.values)
+    u = np.arange(1, p, dtype=np.int64)[:, None]
+    ratio_sums = D[u, u * u.T % p].sum(axis=0)  # one sum per t in F*
+    return float(max(D[:, 0].sum(), D[0, 0] + ratio_sums.max())) / p
 
 
 # -- censuses ---------------------------------------------------------------

@@ -9,9 +9,10 @@ E_x = (1/p) * sum_x.  Four sup-correlation norms are provided:
   u3+  : sup over quadratic phases e_p(r x^2 + s x)
   QM   : sup over products (quadratic phase) * (multiplicative character)
 
-They satisfy u2+ <= u3+ <= QM <= L1.  All four are exhaustive sups; u3+
-and QM use the one-transform-per-quadratic-coefficient trick (multiply f
-by conj(e_p(r x^2)), then one length-p additive transform covers every s).
+They satisfy u2+ <= u3+ <= QM <= L1.  All four are exhaustive sups: u3+
+transforms f conj(e_p(r x^2)) along x for each r, QM along the discrete-log
+axis x = g^a.  A witness is the smallest index within relative 1e-12 of
+the max, so exact ties never depend on rounding.
 """
 
 from __future__ import annotations
@@ -150,11 +151,32 @@ class NormResult(NamedTuple):
     witness: tuple  # maximizer parameters, lexicographically smallest
 
 
+def _first_near(mags: np.ndarray, top: float) -> int:
+    """Smallest flat index of mags within relative 1e-12 of top (the tie rule)."""
+    return int(np.argmax(mags >= top * (1 - 1e-12)))
+
+
+def _sup(mags: np.ndarray) -> NormResult:
+    """max of mags, witnessed by its first near-max index."""
+    top = float(mags.max())
+    return NormResult(top, tuple(int(i) for i in
+                                 np.unravel_index(_first_near(mags, top), mags.shape)))
+
+
 def _quad_demodulated(f: Signal) -> np.ndarray:
     """Matrix [r, x] of f(x) conj(e_p(r x^2)), all r = 0..p-1 at once."""
     p = f.p
     x = np.arange(p, dtype=np.int64)
     return f.values * f.ctx.roots_p[np.multiply.outer(-x, x * x % p) % p]
+
+
+def difference_spectrum(v: np.ndarray) -> np.ndarray:
+    """Matrix [w, s] of |(Delta_w v)^(s)|^2 for a length-p array v, where
+    Delta_w v(x) = v(x+w) conj(v(x)): all p differences in one batched
+    transform."""
+    p = len(v)
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((v, v[:-1])), p)
+    return np.abs(np.fft.fft(shifted * np.conj(v), axis=1) / p) ** 2
 
 
 def quad_phase_inner_products(f: Signal) -> np.ndarray:
@@ -163,50 +185,41 @@ def quad_phase_inner_products(f: Signal) -> np.ndarray:
     return np.fft.fft(_quad_demodulated(f), axis=1) / f.p
 
 
-def _conj_chi_matrix(ctx: FieldCtx) -> np.ndarray:
-    """Matrix C[k, x] = conj(chi_k(x)), all k = 0..p-2 at once."""
-    p = ctx.p
-    C = np.ones((p - 1, p), dtype=np.complex128)
-    ks = np.arange(p - 1, dtype=np.int64)[:, None]
-    dl = ctx.dlog[1:][None, :]
-    C[:, 1:] = ctx.roots_pm1[(-ks * dl) % (p - 1)]
-    return C
-
-
 def norm_u2_plus(f: Signal) -> NormResult:
-    """max_r |f^(r)|; witness (r,), smallest r on ties."""
-    mags = np.abs(add_transform(f).coeffs)
-    r = int(np.argmax(mags))
-    return NormResult(float(mags[r]), (r,))
+    """max_r |f^(r)|; witness (r,)."""
+    return _sup(np.abs(add_transform(f).coeffs))
 
 
 def norm_u2_times(f: Signal) -> NormResult:
     """max_k |<f, chi_k>|; witness (k,).  A semi-norm (see module docstring)."""
-    mags = np.abs(mult_transform(f).coeffs)
-    k = int(np.argmax(mags))
-    return NormResult(float(mags[k]), (k,))
+    return _sup(np.abs(mult_transform(f).coeffs))
 
 
 def norm_u3_plus(f: Signal) -> NormResult:
     """max over quadratic phases e_p(r x^2 + s x) of |<f, phi>|; witness (r, s)."""
-    mags = np.abs(quad_phase_inner_products(f))
-    r, s = divmod(int(np.argmax(mags)), f.p)
-    return NormResult(float(mags[r, s]), (r, s))
+    return _sup(np.abs(quad_phase_inner_products(f)))
 
 
 def norm_qm(f: Signal) -> NormResult:
-    """max over phi*chi, phi in Q(F), chi multiplicative; witness (r, s, k)."""
-    p = f.p
-    C = _conj_chi_matrix(f.ctx)
-    best_val, best_wit = -1.0, (0, 0, 0)
-    for r, q in enumerate(_quad_demodulated(f)):
-        # rows: character index k, columns: x; transform over x covers all s
-        mags = np.abs(np.fft.fft(C * q[None, :], axis=1)).T / p  # [s, k]
-        flat = int(np.argmax(mags))
-        s, k = divmod(flat, p - 1)
-        if mags[s, k] > best_val:
-            best_val, best_wit = float(mags[s, k]), (r, s, k)
-    return NormResult(best_val, best_wit)
+    """max over phi*chi, phi in Q(F), chi multiplicative; witness (r, s, k).
+
+    With q = f conj(e_p(r x^2)) and x = g^a, p <f, e_p(r x^2 + s x) chi_k>
+    = q(0) + sum_a e_p(-s g^a) q(g^a) e(-ka/(p-1)): one length-(p-1)
+    transform per s.  One pass keeps each r's max; only the winning r is
+    transformed again to find (s, k).
+    """
+    ctx, p = f.ctx, f.p
+    E = ctx.roots_p[np.multiply.outer(-np.arange(p), ctx.pow_g) % p]
+
+    def row_mags(q):  # p |<f, phi chi>| as a matrix [s, k]
+        y = E * q[ctx.pow_g]
+        y[:, 0] += q[0]  # x = 0: one term, added to every k
+        return np.abs(np.fft.fft(y, axis=1))
+
+    rows = _quad_demodulated(f)
+    top, (r,) = _sup(np.array([row_mags(q).max() for q in rows]))
+    s, k = divmod(_first_near(row_mags(rows[r]), top), p - 1)
+    return NormResult(top / p, (r, s, k))
 
 
 def inner_product(f: Signal, g: Signal) -> complex:

@@ -26,6 +26,7 @@ verified at runtime by the closure / annihilation property tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -46,6 +47,8 @@ H_SQUARED_BUDGET = 2 * 10**6
 def as_fraction(x) -> Fraction:
     """Exact conversion; floats convert by their exact binary value."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x} has no exact fraction")
         return Fraction(*x.as_integer_ratio())
     return Fraction(x)
 
@@ -252,6 +255,9 @@ class TrigPoly:
     @staticmethod
     def random(d: int, rng: np.random.Generator, n_terms: int = 3,
                max_freq: int = 1, mass: float = 1.5) -> "TrigPoly":
+        if (2 * max_freq + 1) ** (3 * d) < n_terms:
+            raise ValueError(f"d={d}, max_freq={max_freq} give fewer than "
+                             f"{n_terms} frequency triples")
         terms = {}
         while len(terms) < n_terms:
             key = tuple(tuple(int(v) for v in rng.integers(-max_freq, max_freq + 1, d))

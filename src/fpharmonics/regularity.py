@@ -124,6 +124,8 @@ def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
     asserted on every accepted input.
     """
     p = f.p
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps={eps} must be positive and finite")
     if f.lp_norm(2) > 1 + tol:
         raise ValueError("||f||_2 > 1")
     if enforce_eps_bound and eps < 4 * p ** (-1 / 8):

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fpharmonics.field import cached_field
+from fpharmonics.counting import phased_character_example
+from fpharmonics.field import MultChar, cached_field, mult_char_values
+from fpharmonics.harmonic import Signal, qm_basis_signal, random_signal
 
 SEED = 20260823
 
@@ -21,3 +23,21 @@ def ctx13():
 @pytest.fixture
 def ctx31():
     return cached_field(31)
+
+
+@pytest.fixture
+def oracle_signals(rng):
+    """Build the signals on which the Fourier kernels are checked against
+    their loop oracles: random (gaussian, bounded, +-1), the
+    phased-character family, the quadratic character and QM basis signals."""
+    def make(ctx):
+        p = ctx.p
+        f1, _, f3, f4, _ = phased_character_example(ctx)
+        return [random_signal(ctx, rng, kind=kind, unit_l2=True)
+                for kind in ("gaussian", "bounded", "signs", "signs")] + [
+            f1, f3, f4,
+            Signal(ctx, mult_char_values(ctx, MultChar((p - 1) // 2))),
+            qm_basis_signal(ctx, 2, 3, 1),
+            qm_basis_signal(ctx, 1, 0, (p - 1) // 2),
+        ]
+    return make

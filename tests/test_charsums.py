@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from fpharmonics.charsums import (check_mixed_sum, gauss_sum, mixed_sum,
                                   u3_box_sum, weil_product_sum)
-from fpharmonics.field import MultChar, cached_field
+from fpharmonics.field import MultChar, cached_field, mult_char_values
+from fpharmonics.harmonic import difference_spectrum
 
 
 def test_gauss_trivial_cases():
@@ -125,3 +127,40 @@ def test_u3_box_rejects_large_p():
     ctx = cached_field(101)
     with pytest.raises(ValueError):
         u3_box_sum(ctx, MultChar(1), MultChar(0), 1)
+
+
+def u3_box_loop(F):
+    """Reference: the eight-fold correlation
+    E_{x, z1, z2, z3} prod_{w in {0,1}^3} C^{|w|} F(x + w.z), one (z1, z2)
+    at a time with x and z3 vectorized."""
+    p = len(F)
+    x = np.arange(p, dtype=np.int64)
+    xg, z3g = x[:, None], x[None, :]
+    total = 0j
+    for z1 in range(p):
+        for z2 in range(p):
+            prod = np.ones((p, p), dtype=np.complex128)
+            for w in itertools.product((0, 1), repeat=3):
+                f = F[(xg + w[0] * z1 + w[1] * z2 + w[2] * z3g) % p]
+                prod *= np.conj(f) if sum(w) % 2 else f
+            total += np.sum(prod)
+    return float(np.real(total)) / p**4
+
+
+@pytest.mark.parametrize("p", (13, 31))
+def test_u3_box_sum_matches_eightfold_loop(p):
+    ctx = cached_field(p)
+    x = np.arange(p)
+    for k1, k2, h in ((1, 2, 1), ((p - 1) // 2, 0, 1), (3, 5, 7)):
+        F = (mult_char_values(ctx, MultChar(k1))
+             * mult_char_values(ctx, MultChar(k2))[(x + h) % p])
+        assert u3_box_sum(ctx, MultChar(k1), MultChar(k2), h) == pytest.approx(
+            u3_box_loop(F), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", (13, 31))
+def test_gowers_identity_on_difference_spectrum(p, oracle_signals):
+    for f in oracle_signals(cached_field(p)):
+        D = difference_spectrum(f.values)
+        assert np.mean(np.sum(D**2, axis=1)) == pytest.approx(
+            u3_box_loop(f.values), rel=1e-12, abs=1e-12)

@@ -4,10 +4,14 @@ import argparse
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fpharmonics
 from fpharmonics.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -111,9 +115,23 @@ def test_assertion_failure_exits_one(capsys):
     ["scan", "--mode", "random", "--count", "0"],
     ["scan", "--r", "0"],
     ["kvn", "--delta", "0"],
+    ["bohr", "--eps", "inf"],
+    ["decompose", "--eps", "0"],
 ], ids=lambda a: " ".join(a))
 def test_usage_error_exits_two(argv, capsys):
     assert main(argv) == 2
+
+
+def test_equidist_d0_exits_two_promptly():
+    # d = 0 once sent TrigPoly.random into an endless draw loop, so run it
+    # in a child process that a timeout can stop
+    src = Path(fpharmonics.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "fpharmonics.cli", "equidist",
+                           "--d", "0"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _subparsers():

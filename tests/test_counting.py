@@ -170,6 +170,25 @@ def test_differencing_lemma(rng):
         assert differencing_sup(f) <= norm_u3_plus(f).value ** 2 + 1e-9
 
 
+def differencing_sup_loop(f):
+    """Reference: the mean over z for one (h, r) at a time, from the
+    difference spectrum built by rolling f."""
+    p = f.p
+    v = f.values
+    deltas = np.array([np.roll(v, -w) * np.conj(v) for w in range(p)])
+    dhat = np.abs(np.fft.fft(deltas, axis=1) / p) ** 2
+    zs = np.arange(p)
+    return max(float(np.mean(dhat[zs * h % p, zs * r % p]))
+               for h in range(1, p) for r in range(p))
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_differencing_sup_matches_loop(p, oracle_signals):
+    for f in oracle_signals(cached_field(p)):
+        assert differencing_sup(f) == pytest.approx(
+            differencing_sup_loop(f), rel=1e-12, abs=1e-12)
+
+
 def test_simple_lemma_empty_S(rng):
     ctx = cached_field(17)
     fs = [random_signal(ctx, rng, unit_l2=True) for _ in range(3)]

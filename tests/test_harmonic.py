@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpharmonics.counting import phased_character_example
-from fpharmonics.field import cached_field
+from fpharmonics.field import MultChar, cached_field, mult_char_values
 from fpharmonics.harmonic import (Signal, add_invert, add_transform, convolve,
                                   indicator, inner_product, norm_qm,
                                   norm_u2_plus, norm_u2_times, norm_u3_plus,
@@ -114,19 +114,41 @@ def test_norm_chain(p, seed):
     assert qm <= l1 + 1e-12
 
 
+TIE_RTOL = 1e-12
+
+
+def first_near_max(rows):
+    """(max, (i, j)) over a list of arrays: i is the first array holding a
+    value within relative TIE_RTOL of the overall max, j the first such
+    flat index in it (the tie rule NormResult documents)."""
+    top = max(float(row.max()) for row in rows)
+    for i, row in enumerate(rows):
+        hits = np.flatnonzero(row >= top * (1 - TIE_RTOL))
+        if hits.size:
+            return top, (i, int(hits[0]))
+
+
 def u3_plus_loop(f):
-    """Reference: one length-p transform per quadratic coefficient r,
-    keeping the first r whose best s strictly improves."""
+    """Reference: one length-p transform per quadratic coefficient r."""
     p = f.p
     x = np.arange(p)
-    best_val, best_wit = -1.0, (0, 0)
-    for r in range(p):
-        row = np.fft.fft(f.values * f.ctx.roots_p[(-r * x * x) % p]) / p
-        mags = np.abs(row)
-        s = int(np.argmax(mags))
-        if mags[s] > best_val:
-            best_val, best_wit = float(mags[s]), (r, s)
-    return best_val, best_wit
+    rows = [np.abs(np.fft.fft(f.values * f.ctx.roots_p[(-r * x * x) % p]) / p)
+            for r in range(p)]
+    return first_near_max(rows)
+
+
+def qm_loop(f):
+    """Reference: for each r, transform along the x axis, one row per
+    character k of the matrix conj(chi_k(x)) f(x) conj(e_p(r x^2))."""
+    ctx, p = f.ctx, f.p
+    x = np.arange(p)
+    C = np.ones((p - 1, p), dtype=np.complex128)
+    C[:, 1:] = ctx.roots_pm1[(-np.arange(p - 1)[:, None] * ctx.dlog[1:]) % (p - 1)]
+    rows = [np.abs(np.fft.fft(C * (f.values * ctx.roots_p[(-r * x * x) % p]),
+                              axis=1)).T / p  # [s, k]
+            for r in range(p)]
+    top, (r, flat) = first_near_max(rows)
+    return top, (r, *divmod(flat, p - 1))
 
 
 @pytest.mark.parametrize("p", (13, 31, 61, 101))
@@ -145,6 +167,32 @@ def test_batched_u3_plus_matches_loop(p, rng):
         r, s = witness
         assert abs(quad_phase_inner_products(f)[r, s]) == pytest.approx(
             value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_norm_qm_matches_x_axis_loop(p, oracle_signals):
+    for f in oracle_signals(cached_field(p)):
+        value, witness = qm_loop(f)
+        res = norm_qm(f)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert res.witness == witness
+
+
+@pytest.mark.parametrize("p", (13, 31, 61))
+def test_real_signals_take_the_smaller_conjugate_witness(p):
+    """For real f, |<f, psi>| = |<f, conj(psi)>|: the parameters (r, s, k)
+    and (-r, -s, -k) tie exactly, and the witness is the smaller one."""
+    ctx = cached_field(p)
+    rng = np.random.default_rng(p)
+    signals = [random_signal(ctx, rng, kind="signs") for _ in range(8)]
+    signals.append(Signal(ctx, mult_char_values(ctx, MultChar((p - 1) // 2))))
+    moduli = {norm_u2_plus: (p,), norm_u2_times: (p - 1,),
+              norm_u3_plus: (p, p), norm_qm: (p, p, p - 1)}
+    for f in signals:
+        for norm, mods in moduli.items():
+            witness = norm(f).witness
+            twin = tuple(-c % m for c, m in zip(witness, mods))
+            assert witness <= twin, (norm.__name__, witness, twin)
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(0, np.nan)))

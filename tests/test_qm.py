@@ -7,7 +7,7 @@ import pytest
 
 from fpharmonics.field import cached_field
 from fpharmonics.qm import (GPoint, LatticeTests, QMSystem, TrigPoly,
-                            baby_count, bohr_set, box_fraction,
+                            as_fraction, baby_count, bohr_set, box_fraction,
                             check_bohr_density, check_pigeon_projection,
                             compose_signal, counting_integral_I,
                             counting_integral_direct, counting_lemma_check,
@@ -231,3 +231,9 @@ def test_compose_signal_unit_modulus():
     F = TrigPoly(1, {((1,), (0,), (0,)): 1.0})
     f = compose_signal(psi, F)
     assert np.allclose(np.abs(f.values), 1)
+
+
+@pytest.mark.parametrize("x", (float("inf"), float("-inf"), float("nan")))
+def test_as_fraction_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        as_fraction(x)

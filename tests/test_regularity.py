@@ -112,6 +112,14 @@ def test_quad_decompose_eps_hypothesis_flag():
         quad_decompose(f, 0.5, enforce_eps_bound=True)
 
 
+@pytest.mark.parametrize("eps", (0.0, -0.5, float("nan"), float("inf")))
+def test_quad_decompose_rejects_bad_eps(eps):
+    ctx = cached_field(13)
+    f = Signal(ctx, np.zeros(13, dtype=complex))
+    with pytest.raises(ValueError):
+        quad_decompose(f, eps)
+
+
 def test_correlation_pure_qm_signal():
     from fpharmonics.harmonic import qm_basis_signal
     ctx = cached_field(101)
