@@ -170,6 +170,9 @@ def cmd_scan(args):
 
 def _random_system(ctx, d, rng):
     from .qm import QMSystem
+    if not 0 <= d <= (ctx.p - 1) ** 2:
+        # more dimensions than distinct pairs (a, k) would only repeat them
+        raise ValueError(f"need 0 <= d <= (p-1)^2 = {(ctx.p - 1) ** 2}, got {d}")
     dims = [(int(rng.integers(1, ctx.p)), int(rng.integers(0, ctx.p - 1)))
             for _ in range(d)]
     return QMSystem(ctx, dims)
@@ -234,6 +237,8 @@ def cmd_kvn(args):
     from .qm import QMSystem
     from .regularity import kvn_energy_increment
     ctx = cached_field(args.p)
+    if args.r > args.p:
+        raise ValueError(f"--r {args.r}: one signal per color class, at most p")
     rng = _rng(args)
     fs = [random_signal(ctx, rng, kind="bounded") for _ in range(args.r)]
     psi0 = QMSystem(ctx, [])

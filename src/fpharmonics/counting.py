@@ -157,6 +157,8 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
     """Exact per-color counts of pairs (x,y) with x, y, x+y, xy monochromatic."""
     if c.n != ctx.p:
         raise ValueError("coloring domain is not F_p")
+    if c.r > ctx.p:
+        raise ValueError(f"{c.r} colors on F_{ctx.p}: at most p classes can be used")
     if not c.is_total():
         raise ValueError("partial coloring rejected; census needs a total coloring")
     per_x = np.count_nonzero(monochromatic_mask(ctx, c.assign), axis=1)

@@ -12,6 +12,7 @@ character trivial" questions are exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -115,8 +116,18 @@ def new_field(p: int) -> FieldCtx:
 
 
 @lru_cache(maxsize=64)
-def cached_field(p: int) -> FieldCtx:
+def _cached_field(p: int) -> FieldCtx:
     return new_field(p)
+
+
+def cached_field(p: int) -> FieldCtx:
+    """new_field(p) through a 64-entry LRU cache keyed by operator.index(p),
+    so that 13 and np.int64(13) share one entry."""
+    return _cached_field(operator.index(p))
+
+
+cached_field.cache_info = _cached_field.cache_info
+cached_field.cache_clear = _cached_field.cache_clear
 
 
 @dataclass(frozen=True)

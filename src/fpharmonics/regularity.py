@@ -238,6 +238,8 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     Pythagoras step each iteration (asserted), so the loop stops within
     ceil(budget_c * r / delta^2) iterations or reports the energy trace.
     """
+    if not fs:
+        raise ValueError("need at least one signal")
     if not delta > 0:
         raise ValueError(f"need delta > 0, got {delta}")
     for f in fs:

@@ -5,6 +5,13 @@ constrains when all four values stay inside the interval, and the prime
 fields F_p, where every coloring is scanned for its exact monochromatic
 quadruple count (the quadruple (0, 0, 0, 0) makes that count >= 1
 always).
+
+Interval colorings are found by a depth-first search that propagates
+after every assignment: each value keeps the set of colors it may still
+take, and a pattern with all members but one fixed to a color removes
+that color from the last one.  It settles the distinct two-color problem
+in well under a second per N: {1..251} has a coloring and {1..252} has
+none.
 """
 
 from __future__ import annotations
@@ -29,29 +36,31 @@ def interval_patterns(N: int, distinct: bool = False) -> list:
     pats = []
     for x in range(1, N + 1):
         for y in range(x, N + 1):
-            if distinct and x == y:
-                continue
             s, m = x + y, x * y
-            if s <= N and m <= N:
+            if s > N or m > N:
+                break  # both grow with y
+            if not (distinct and x == y):
                 pats.append((x, y, s, m))
     return pats
 
 
 def check_interval_coloring(coloring: Sequence[int], distinct: bool = False) -> list:
-    """Independent O(N^2) re-verification; returns the list of violated
-    patterns (empty means the coloring is valid)."""
+    """Independent re-verification of every pair x <= y with x+y, xy <= N;
+    returns the list of violated patterns (empty means the coloring is
+    valid)."""
     N = len(coloring)
     bad = []
     for x in range(1, N + 1):
         for y in range(x, N + 1):
+            s, m = x + y, x * y
+            if s > N or m > N:
+                break
             if distinct and x == y:
                 continue
-            s, m = x + y, x * y
-            if s <= N and m <= N:
-                c = coloring[x - 1]
-                if (coloring[y - 1] == c and coloring[s - 1] == c
-                        and coloring[m - 1] == c):
-                    bad.append((x, y, s, m))
+            c = coloring[x - 1]
+            if (coloring[y - 1] == c and coloring[s - 1] == c
+                    and coloring[m - 1] == c):
+                bad.append((x, y, s, m))
     return bad
 
 
@@ -82,67 +91,120 @@ class SearchResult:
 
 def interval_backtrack(N: int, r: int, distinct: bool = False,
                        budget: int | None = None) -> SearchResult:
-    """Depth-first r-coloring of {1..N} avoiding monochromatic patterns.
+    """Depth-first r-coloring of {1..N} avoiding monochromatic patterns,
+    with propagation after every assignment.
 
-    Values are assigned in ascending order; at value n only patterns whose
-    maximum element is n can close, so the check is incremental.  Colors
-    are tried least-used first.  Returns a certificate (re-verified by the
-    independent checker), an unsatisfiability report with the node count,
-    or budget exhaustion with the deepest level reached.
+    Values are branched on in ascending order, colors least-used first
+    (ties by index).  Each value keeps a bitmask of the colors it may
+    still take, and each pattern is indexed by every member.  When all
+    members of a pattern but one are fixed to color c, c leaves the last
+    member's mask; a mask left with one color fixes its value, and the
+    propagation goes on from there.  A pattern whose members are all fixed
+    to one color prunes the branch, and a trail undoes every change on
+    backtrack.  Propagation only cuts subtrees that hold no solution, so
+    the certificate is the first one a plain DFS in the same order finds.
+
+    `nodes` counts the colors tried, a value fixed by propagation counting
+    as one; `best_depth` is the deepest value the search colored without a
+    contradiction.  Returns a certificate (re-verified by the independent
+    checker), an unsatisfiability report, or budget exhaustion after
+    budget + 1 nodes.
     """
     if r not in (2, 3):
         raise ValueError("r must be 2 or 3")
     if not 1 <= N <= MAX_N:
         raise ValueError(f"need 1 <= N <= {MAX_N}")
-    by_max: list = [[] for _ in range(N + 1)]
+    # value -> for each pattern holding it, the pattern's other members
+    others: list = [[] for _ in range(N + 1)]
     for pat in interval_patterns(N, distinct):
-        by_max[max(pat)].append(pat)
+        members = set(pat)
+        for v in members:
+            others[v].append(tuple(members - {v}))
+    full = (1 << r) - 1
+    color_of = [-1] * (full + 1)  # mask -> its color if it holds just one
+    for c in range(r):
+        color_of[1 << c] = c
 
-    coloring = [-1] * (N + 1)  # 1-based
+    mask = [full] * (N + 1)  # 1-based
+    coloring = [-1] * (N + 1)
+    trail: list = []  # (value, mask before the change)
     usage = [0] * r
     nodes = 0
     best_depth = 0
 
-    def closes(n: int, color: int) -> bool:
-        for pat in by_max[n]:
-            if all(coloring[v] == color for v in pat if v != n):
-                return True
-        return False
+    def fix(v: int, c: int) -> bool:
+        """Fix v to color c and propagate; False once a pattern closes.
+        A mask never empties: a color leaves only values that are not yet
+        fixed, so every dead end shows as a monochromatic pattern."""
+        trail.append((v, mask[v]))
+        mask[v], coloring[v] = 1 << c, c
+        queue = [v]
+        while queue:
+            v = queue.pop()
+            c = coloring[v]
+            for rest in others[v]:
+                free = 0
+                for u in rest:
+                    cu = coloring[u]
+                    if cu == c:
+                        continue
+                    if cu >= 0 or free:
+                        break  # two colors already, or two members still open
+                    free = u
+                else:
+                    if not free:
+                        return False
+                    m = mask[free]
+                    if m >> c & 1:
+                        trail.append((free, m))
+                        m ^= 1 << c
+                        mask[free], coloring[free] = m, color_of[m]
+                        if color_of[m] >= 0:
+                            queue.append(free)
+        return True
 
-    def dfs(n: int) -> bool:
-        nonlocal nodes, best_depth
-        if n > N:
-            return True
-        for color in sorted(range(r), key=lambda c: usage[c]):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetExhausted
-            if closes(n, color):
-                continue
-            coloring[n] = color
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v, m = trail.pop()
+            mask[v], coloring[v] = m, color_of[m]
+
+    def colors_to_try(n: int) -> list:
+        """n's remaining colors, least-used first, as a stack to pop."""
+        m = mask[n]
+        return [c for c in sorted(range(r), key=usage.__getitem__)[::-1] if m >> c & 1]
+
+    # one (colors left to try, trail mark) per colored value 1..n-1; a loop
+    # rather than recursion, so no closure refers to itself and each
+    # search's tables are freed as soon as it returns
+    opened: list = []
+    n, left = 1, colors_to_try(1)
+    while n <= N:
+        if not left:
+            if not opened:
+                return SearchResult("unsat", N, r, distinct, None, nodes, best_depth)
+            n -= 1
+            left, mark = opened.pop()
+            usage[coloring[n]] -= 1
+            undo(mark)
+            continue
+        color = left.pop()
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return SearchResult("budget", N, r, distinct, None, nodes, best_depth)
+        mark = len(trail)
+        if coloring[n] >= 0 or fix(n, color):  # fixed by propagation, or fixed now
             usage[color] += 1
             best_depth = max(best_depth, n)
-            if dfs(n + 1):
-                return True
-            coloring[n] = -1
-            usage[color] -= 1
-        return False
-
-    try:
-        found = dfs(1)
-    except _BudgetExhausted:
-        return SearchResult("budget", N, r, distinct, None, nodes, best_depth)
-    if not found:
-        return SearchResult("unsat", N, r, distinct, None, nodes, best_depth)
+            opened.append((left, mark))
+            n += 1
+            left = colors_to_try(n) if n <= N else []
+        else:
+            undo(mark)
     cert = tuple(coloring[1:])
     bad = check_interval_coloring(cert, distinct)
     if bad:
         raise AssertionError(f"search returned an invalid certificate: {bad[:3]}")
     return SearchResult("sat", N, r, distinct, cert, nodes, best_depth)
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def interval_sweep(r: int, n_max: int, distinct: bool = False,
@@ -171,8 +233,9 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     """Min / mean monochromatic quadruple count over F_p colorings.
 
     mode "exhaustive" enumerates all r^p colorings (requires r^p <= 10^7);
-    mode "random" samples `count` uniform colorings.  The reported min is
-    a lower-bound witness for the c_r * p^2 quadruple guarantee at this p.
+    mode "random" samples `count` uniform colorings (1 <= count <= 10^7).
+    The reported min is a lower-bound witness for the c_r * p^2 quadruple
+    guarantee at this p.
     """
     p = ctx.p
     if r < 1:
@@ -184,8 +247,9 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
                      for c in itertools.product(range(r), repeat=p))
         n_total = r**p
     elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random scan needs count >= 1, got {count}")
+        if not 1 <= count <= EXHAUSTIVE_BUDGET:
+            raise ValueError(f"random scan needs 1 <= count <= {EXHAUSTIVE_BUDGET}, "
+                             f"got {count}")
         if rng is None:
             rng = np.random.default_rng()
         colorings = (rng.integers(0, r, size=p) for _ in range(count))

@@ -430,3 +430,11 @@ def test_backtrack_certificates_and_frontier():
     res = interval_backtrack(20, 2, distinct=True)
     if res.status == "sat":
         assert not check_interval_coloring(res.coloring, distinct=True)
+
+
+def test_distinct_sweep_settles_252():
+    # the sweep itself re-verifies every certificate and rejects a sat
+    # after an unsat, so this pins 1..251 sat and 252 unsat
+    sweep = interval_sweep(2, 252, distinct=True)
+    assert sweep["last_sat"] == 251
+    assert sweep["results"][-1].status == "unsat"

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import fpharmonics
 from fpharmonics.cli import build_parser, main
@@ -115,6 +120,8 @@ def test_assertion_failure_exits_one(capsys):
     ["scan", "--mode", "random", "--count", "0"],
     ["scan", "--r", "0"],
     ["kvn", "--delta", "0"],
+    ["kvn", "--r", "0"],
+    ["bohr", "--d", "-1"],
     ["bohr", "--eps", "inf"],
     ["decompose", "--eps", "0"],
 ], ids=lambda a: " ".join(a))
@@ -160,3 +167,85 @@ def test_search_sweep(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["last_sat"] is None or report["last_sat"] <= 25
+
+
+# -- argv fuzzing ----------------------------------------------------------------
+
+FUZZ_POOL = ["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31",
+             "0", "-1", "4", "inf", "nan", str(10**30), str(2**63)]
+FUZZ_CAP_S = 1.0
+
+
+class _Stopped(BaseException):
+    """Raised by the fuzz timer; a BaseException so no handler in the
+    program can swallow it."""
+
+
+def _stop(signum, frame):
+    raise _Stopped
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand and a random subset of its own flags (--out aside),
+    each set from FUZZ_POOL or, for choice flags, from its choices too."""
+    command = draw(st.sampled_from(sorted(_subparsers())))
+    argv = [command]
+    for action in _subparsers()[command]._actions:
+        if action.dest in ("help", "out") or not draw(st.booleans()):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(st.sampled_from(list(action.choices or ()) + FUZZ_POOL)))
+    return argv
+
+
+def run_capped(argv):
+    """(exit code, stderr) of main(argv) in-process, or None when the run
+    is still going after FUZZ_CAP_S (a slow input, not a failure)."""
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _stop)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_CAP_S)
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Stopped:
+        return None
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kvn", "--r", str(10**30)],
+    ["census", "--r", str(2**63)],
+    ["scan", "--mode", "random", "--count", str(10**30)],
+    ["bohr", "--d", str(10**30)],
+], ids=lambda a: " ".join(a))
+def test_oversized_size_flag_exits_two_promptly(argv):
+    # each of these once looped on the size, growing a list, so the run
+    # is capped rather than left to hang the suite
+    outcome = run_capped(argv)
+    assert outcome is not None, f"still running after {FUZZ_CAP_S} s"
+    code, err = outcome
+    assert code == 2 and err.startswith("error: "), err
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    outcome = run_capped(argv)
+    if outcome is None:
+        event(f"still running after {FUZZ_CAP_S} s")
+        return
+    code, err = outcome
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 1:
+        assert err.startswith("FAILED: "), (argv, err)
+    assert "Traceback" not in err

@@ -95,6 +95,11 @@ def test_census_rejects_partial():
         census_quadruples(ctx, Coloring(7, 2, assign))
 
 
+def test_census_rejects_more_colors_than_points():
+    with pytest.raises(ValueError, match="at most p classes"):
+        census_quadruples(cached_field(7), Coloring(7, 8, np.zeros(7, dtype=int)))
+
+
 @pytest.mark.parametrize("bad", (-2, -5))
 def test_coloring_rejects_colors_below_unassigned(bad):
     assign = np.zeros(7, dtype=int)

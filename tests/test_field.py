@@ -54,3 +54,15 @@ def test_tables_unit_modulus():
     ctx = cached_field(13)
     assert np.allclose(np.abs(ctx.roots_p), 1)
     assert np.allclose(np.abs(ctx.roots_pm1), 1)
+
+
+def test_cached_field_keys_on_int_value():
+    cached_field.cache_clear()
+    try:
+        assert cached_field(np.int64(13)) is cached_field(13)
+        info = cached_field.cache_info()
+        assert info.currsize == 1 and info.hits == 1 and info.misses == 1
+        with pytest.raises(TypeError):
+            cached_field(13.0)
+    finally:
+        cached_field.cache_clear()

@@ -155,6 +155,11 @@ def test_kvn_zero_iterations_on_measurable_input():
     assert res.iterations == 0
 
 
+def test_kvn_rejects_empty_signal_list():
+    with pytest.raises(ValueError, match="at least one signal"):
+        kvn_energy_increment([], system(13, []), 0.3, 2)
+
+
 def test_kvn_fixture_p61():
     from fpharmonics.field import MultChar, mult_char_values
     ctx = cached_field(61)
