@@ -15,7 +15,7 @@ from .counting import (Coloring, MarginReport, QuadrupleCensus, T,
                        census_quadruples, census_triples, check_gvn_bounds,
                        check_simple_lemma, check_u2times_star_bound,
                        differencing_sup, phased_character_example)
-from .field import FieldCtx, MultChar, QuadPhase, cached_field, new_field
+from .field import FieldCtx, MultChar, cached_field, new_field
 from .harmonic import (AddSpectrum, MultSpectrum, NormResult, Signal,
                        add_invert, add_transform, convolve, indicator,
                        inner_product, mult_transform, norm_qm, norm_u2_plus,

@@ -63,7 +63,7 @@ def calibrate_gvn3(ps=(31, 61, 101), n_instances=200, seed=CALIBRATION_SEED):
     """Worst observed (|T|^8 - ||f3||_{u3+}^2) * sqrt(p) over the suite."""
     from .counting import T
     from .field import cached_field
-    from .harmonic import Signal, norm_u3_plus, random_signal
+    from .harmonic import norm_u3_plus, random_signal
     rng = np.random.default_rng(seed)
     worst = 0.0
     for p in ps:
@@ -129,7 +129,7 @@ def calibrate_countlemma(seed=CALIBRATION_SEED):
     """Worst observed margin / (eps*mu(S)*M^4 + M^{9d}/sqrt(p)) over the
     fixed suite p in {31, 61, 101}, d in {1, 2}."""
     from .field import cached_field
-    from .qm import (QMSystem, TrigPoly, bohr_set, counting_lemma_check)
+    from .qm import QMSystem, TrigPoly, bohr_set, counting_lemma_check
     rng = np.random.default_rng(seed)
     worst = 0.0
     for p in (31, 61, 101):
@@ -137,9 +137,7 @@ def calibrate_countlemma(seed=CALIBRATION_SEED):
         for d in (1, 2):
             for eps in (0.3, 0.5):
                 for _ in range(6):
-                    dims = [(int(rng.integers(1, p)),
-                             int(rng.integers(0, p - 1))) for _ in range(d)]
-                    psi = QMSystem(ctx, dims)
+                    psi = QMSystem.random(ctx, d, rng)
                     F = TrigPoly.random(d, rng, n_terms=3, max_freq=1)
                     S = bohr_set(psi, eps)
                     rep = counting_lemma_check(psi, F, S, eps,

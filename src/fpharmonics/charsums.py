@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
-from .field import FieldCtx, MultChar, mult_char_values
+from .field import FieldCtx, MultChar, mult_char_values, quad_phase_values
 from .harmonic import difference_spectrum
 
 
@@ -24,8 +24,7 @@ def gauss_sum(ctx: FieldCtx, a: int, b: int) -> complex:
     p for a=b=0 (asserted within 1e-8)."""
     p = ctx.p
     a, b = a % p, b % p
-    x = np.arange(p, dtype=np.int64)
-    s = complex(np.sum(ctx.roots_p[(a * x * x + b * x) % p]))
+    s = complex(np.sum(quad_phase_values(ctx, a, b)))
     if a != 0:
         expected = math.sqrt(p)
     elif b != 0:
@@ -83,7 +82,7 @@ def mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar, chi_prime: MultChar,
     if a == 0 and b == 0 and chi.is_principal() and chi_prime.is_principal():
         raise ValueError("degenerate input: trivial phase and characters")
     x = np.arange(p, dtype=np.int64)
-    vals = (ctx.roots_p[(a * x * x + b * x) % p]
+    vals = (quad_phase_values(ctx, a, b)
             * mult_char_values(ctx, chi)
             * mult_char_values(ctx, chi_prime)[(x + h) % p])
     s = complex(np.mean(vals))

@@ -13,13 +13,13 @@ import argparse
 import csv
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
-from . import calibration
 from .field import MultChar, cached_field
-from .harmonic import (Signal, add_invert, add_transform, convolve, indicator,
-                       norm_qm, norm_u2_plus, norm_u2_times, norm_u3_plus,
+from .harmonic import (add_invert, add_transform, convolve, norm_qm,
+                       norm_u2_plus, norm_u2_times, norm_u3_plus,
                        random_signal, signal_load)
 
 REPORT_SCHEMA_VERSION = 1
@@ -48,6 +48,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
@@ -168,20 +170,10 @@ def cmd_scan(args):
                             rng=_rng(args))
 
 
-def _random_system(ctx, d, rng):
-    from .qm import QMSystem
-    if not 0 <= d <= (ctx.p - 1) ** 2:
-        # more dimensions than distinct pairs (a, k) would only repeat them
-        raise ValueError(f"need 0 <= d <= (p-1)^2 = {(ctx.p - 1) ** 2}, got {d}")
-    dims = [(int(rng.integers(1, ctx.p)), int(rng.integers(0, ctx.p - 1)))
-            for _ in range(d)]
-    return QMSystem(ctx, dims)
-
-
 def cmd_bohr(args):
-    from .qm import bohr_set, box_fraction, check_bohr_density
+    from .qm import QMSystem, bohr_set, box_fraction, check_bohr_density
     ctx = cached_field(args.p)
-    psi = _random_system(ctx, args.d, _rng(args))
+    psi = QMSystem.random(ctx, args.d, _rng(args))
     B = bohr_set(psi, args.eps)
     frac, floor = box_fraction(psi, args.eps)
     dens, dens_floor = check_bohr_density(psi, args.eps,
@@ -189,18 +181,16 @@ def cmd_bohr(args):
     return {
         "p": args.p, "d": args.d, "eps": args.eps,
         "dims": psi.to_json()["dims"],
-        "bohr_size": len(B), "bohr_density": [dens.numerator, dens.denominator],
-        "density_floor": [dens_floor.numerator, dens_floor.denominator],
-        "box_fraction": [frac.numerator, frac.denominator],
-        "box_floor": [floor.numerator, floor.denominator],
+        "bohr_size": len(B), "bohr_density": dens,
+        "density_floor": dens_floor, "box_fraction": frac, "box_floor": floor,
     }
 
 
 def cmd_equidist(args):
-    from .qm import TrigPoly, baby_count
+    from .qm import QMSystem, TrigPoly, baby_count
     ctx = cached_field(args.p)
     rng = _rng(args)
-    psi = _random_system(ctx, args.d, rng)
+    psi = QMSystem.random(ctx, args.d, rng)
     F = TrigPoly.random(args.d, rng, n_terms=3, max_freq=1)
     lhs, rhs, margin = baby_count(psi, F)
     return {"p": args.p, "d": args.d, "lhs": lhs, "rhs": rhs,
@@ -208,10 +198,10 @@ def cmd_equidist(args):
 
 
 def cmd_countlemma(args):
-    from .qm import TrigPoly, bohr_set, counting_lemma_check
+    from .qm import QMSystem, TrigPoly, bohr_set, counting_lemma_check
     ctx = cached_field(args.p)
     rng = _rng(args)
-    psi = _random_system(ctx, args.d, rng)
+    psi = QMSystem.random(ctx, args.d, rng)
     F = TrigPoly.random(args.d, rng, n_terms=3, max_freq=1)
     S = bohr_set(psi, args.eps)
     rep = counting_lemma_check(psi, F, S, args.eps)
@@ -263,13 +253,11 @@ def cmd_ramsey(args):
     return {
         "classes": col.r, "group": list(col.group.factors),
         "mode": args.mode, "rich_color": i,
-        "lambda": [value.numerator, value.denominator],
+        "lambda": value,
     }
 
 
 def cmd_drc(args):
-    from fractions import Fraction
-
     from .ramsey import dependent_random_choice
     rng = _rng(args)
     nx, ny = int(rng.integers(4, 20)), int(rng.integers(4, 20))
@@ -283,13 +271,9 @@ def cmd_drc(args):
     eta = Fraction(int(rng.integers(1, 9)), 16)
     res = dependent_random_choice(nu_x, nu_y, A, eta)
     return {
-        "x_size": nx, "y_size": ny, "eta": [eta.numerator, eta.denominator],
-        "alpha": [res.alpha.numerator, res.alpha.denominator],
-        "x_prime": sorted(res.x_prime),
-        "x_prime_measure": [res.x_prime_measure.numerator,
-                            res.x_prime_measure.denominator],
-        "bad_inside": [res.bad_measure_inside.numerator,
-                       res.bad_measure_inside.denominator],
+        "x_size": nx, "y_size": ny, "eta": eta, "alpha": res.alpha,
+        "x_prime": sorted(res.x_prime), "x_prime_measure": res.x_prime_measure,
+        "bad_inside": res.bad_measure_inside,
     }
 
 
@@ -335,7 +319,7 @@ def cmd_search(args):
 def cmd_verify(args):
     """Compact cross-module property sweep at one prime; any failure exits 1."""
     from .counting import T, check_gvn_bounds, phased_character_example
-    from .qm import TrigPoly, baby_count, bohr_set, counting_lemma_check
+    from .qm import QMSystem, TrigPoly, baby_count, bohr_set, counting_lemma_check
     from .ramsey import extremal_coloring, find_rich_color
     from .regularity import (build_atoms, decomposable_unit_signal, project,
                              quad_decompose)
@@ -344,32 +328,37 @@ def cmd_verify(args):
     rng = _rng(args)
     checks = {}
 
+    def require(ok: bool, name: str) -> None:
+        # a raise, not an assert, so that python -O keeps the check
+        if not ok:
+            raise AssertionError(f"verify check {name} failed: {checks[name]}")
+
     f1, f2, f3, f4, expected = phased_character_example(ctx)
     checks["count_example_err"] = abs(T(f1, f2, f3, f4) - expected)
-    assert checks["count_example_err"] < 1e-9
+    require(checks["count_example_err"] < 1e-9, "count_example_err")
 
     f = random_signal(ctx, rng, unit_l2=True)
     back = add_invert(add_transform(f))
     checks["roundtrip_err"] = float(np.max(np.abs(back.values - f.values)))
-    assert checks["roundtrip_err"] < 1e-10
+    require(checks["roundtrip_err"] < 1e-10, "roundtrip_err")
 
     chain = [norm_u2_plus(f).value, norm_u3_plus(f).value,
              norm_qm(f).value, f.lp_norm(1)]
     checks["norm_chain"] = chain
-    assert all(chain[i] <= chain[i + 1] + 1e-12 for i in range(3))
+    require(all(chain[i] <= chain[i + 1] + 1e-12 for i in range(3)), "norm_chain")
 
     gs = [random_signal(ctx, rng, unit_l2=True) for _ in range(3)]
     rep = check_gvn_bounds(gs[0], gs[1], gs[2], gs[0], which="u2plus")
     checks["gvn_u2plus_slack"] = rep.slack
-    assert rep.ok()
+    require(rep.ok(), "gvn_u2plus_slack")
 
-    psi = _random_system(ctx, 1, rng)
+    psi = QMSystem.random(ctx, 1, rng)
     F = TrigPoly.random(1, rng, n_terms=2, max_freq=1)
     lhs, rhs, margin = baby_count(psi, F)
     checks["baby_margin"] = margin
     S = bohr_set(psi, 0.5)
     checks["countlemma_ok"] = counting_lemma_check(psi, F, S, 0.5).ok()
-    assert checks["countlemma_ok"]
+    require(checks["countlemma_ok"], "countlemma_ok")
 
     # at small p the quadratic phases have cross-correlations ~ 1/sqrt(p),
     # so the decomposition threshold must sit above amp/sqrt(p)
@@ -381,13 +370,13 @@ def cmd_verify(args):
     pf = project(atoms, f)
     checks["projection_idempotent_err"] = float(
         np.max(np.abs(project(atoms, pf).values - pf.values)))
-    assert checks["projection_idempotent_err"] < 1e-9
+    require(checks["projection_idempotent_err"] < 1e-9, "projection_idempotent_err")
 
     col = extremal_coloring(2)
     i, value = find_rich_color(col, mode="oracle")
     checks["ramsey_rich_color"] = i
-    checks["ramsey_lambda"] = [value.numerator, value.denominator]
-    assert i == 0 and value == type(value)(1, 16)
+    checks["ramsey_lambda"] = value
+    require(i == 0 and value == Fraction(1, 16), "ramsey_lambda")
 
     checks["p"] = args.p
     checks["seed"] = args.seed

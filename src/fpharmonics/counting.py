@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, MultChar, mult_char_values, quad_phase_values
 from .harmonic import (Signal, add_transform, difference_spectrum, indicator, norm_qm,
                        norm_u2_plus, norm_u2_times, norm_u3_plus, require_same_ctx)
 
@@ -74,13 +74,11 @@ def phased_character_example(ctx: FieldCtx) -> tuple:
     (f1, f2, f3, f4, expected) where expected = ((p-1)^2 + 1) / p^2 is the
     exact value of T on this family.
     """
-    from .field import MultChar, mult_char_values
     p = ctx.p
-    t = np.arange(p, dtype=np.int64)
     chi = mult_char_values(ctx, MultChar(1))
-    f12 = Signal(ctx, ctx.roots_p[t * t % p] * chi)
-    f3 = Signal(ctx, ctx.roots_p[(-t * t) % p])
-    f4 = Signal(ctx, ctx.roots_p[2 * t % p] * np.conj(chi))
+    f12 = Signal(ctx, quad_phase_values(ctx, 1, 0) * chi)
+    f3 = Signal(ctx, quad_phase_values(ctx, -1, 0))
+    f4 = Signal(ctx, quad_phase_values(ctx, 0, 2) * np.conj(chi))
     expected = ((p - 1) ** 2 + 1) / p**2
     return f12, f12, f3, f4, expected
 
@@ -169,9 +167,7 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
 def census_triples(ctx: FieldCtx, A, kind: str = "shkredov") -> int:
     """Count pairs (x,y) whose triple lies in A: kind 'sum' counts
     (x, y, x+y), 'product' counts (x, y, xy), 'shkredov' counts (x, x+y, xy)."""
-    mask = np.zeros(ctx.p, dtype=bool)
-    for x in A:
-        mask[x % ctx.p] = True
+    mask = indicator(ctx, A).values != 0
     mx = mask[:, None]
     my = mask[None, :]
     madd = mask[ctx.grid("add")]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -36,18 +35,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def smallest_factor(n: int) -> Optional[int]:
-    """A nontrivial factor of n, or None when n is prime (n >= 2)."""
-    if n < 2:
-        return n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1 if d == 2 else 2
-    return None
 
 
 def is_primitive_root(g: int, p: int, factors: list[int]) -> bool:
@@ -95,8 +82,8 @@ def new_field(p: int) -> FieldCtx:
         raise ValueError(f"p={p} too small (need p >= 3)")
     if p > MAX_TABLE_PRIME:
         raise ValueError(f"p={p} exceeds table bound {MAX_TABLE_PRIME}")
-    w = smallest_factor(p)
-    if w is not None:
+    w = prime_factors(p)[0]
+    if w != p:
         raise ValueError(f"p={p} is not prime: divisible by {w}")
 
     factors = prime_factors(p - 1)
@@ -140,27 +127,6 @@ class MultChar:
         return self.k == 0
 
 
-@dataclass(frozen=True)
-class QuadPhase:
-    """Quadratic phase x -> e_p(r*x^2 + s*x)."""
-
-    r: int
-    s: int
-
-
-def eval_add_char(ctx: FieldCtx, r: int, x: int) -> complex:
-    """e_p(r*x), by exact table lookup."""
-    return ctx.roots_p[(r * x) % ctx.p]
-
-
-def eval_mult_char(ctx: FieldCtx, chi: MultChar, x: int) -> complex:
-    """chi(x) with the chi(0) = 1 convention."""
-    x = x % ctx.p
-    if x == 0:
-        return complex(1.0)
-    return ctx.roots_pm1[(chi.k * int(ctx.dlog[x])) % (ctx.p - 1)]
-
-
 # -- vectorized whole-field evaluations -----------------------------------
 
 def mult_char_values(ctx: FieldCtx, chi: MultChar) -> np.ndarray:
@@ -172,7 +138,8 @@ def mult_char_values(ctx: FieldCtx, chi: MultChar) -> np.ndarray:
     return vals
 
 
-def quad_phase_values(ctx: FieldCtx, phi: QuadPhase) -> np.ndarray:
-    """Array of e_p(r*x^2 + s*x) for x = 0..p-1."""
+def quad_phase_values(ctx: FieldCtx, r: int, s: int) -> np.ndarray:
+    """Array of e_p(r*x^2 + s*x) for x = 0..p-1; r = 0 gives the additive
+    character e_p(s*x)."""
     x = np.arange(ctx.p, dtype=np.int64)
-    return ctx.roots_p[((phi.r % ctx.p) * x * x + (phi.s % ctx.p) * x) % ctx.p]
+    return ctx.roots_p[((r % ctx.p) * x * x + (s % ctx.p) * x) % ctx.p]

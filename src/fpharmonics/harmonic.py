@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .field import FieldCtx, MultChar, QuadPhase, mult_char_values, quad_phase_values
+from .field import FieldCtx, MultChar, cached_field, mult_char_values, quad_phase_values
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class Signal:
 
     def linf_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def mean(self) -> complex:
-        return complex(np.mean(self.values))
 
 
 def require_same_ctx(*signals: Signal) -> FieldCtx:
@@ -230,7 +227,7 @@ def inner_product(f: Signal, g: Signal) -> complex:
 
 def qm_basis_signal(ctx: FieldCtx, r: int, s: int, k: int) -> Signal:
     """The product e_p(r x^2 + s x) * chi_k(x) as a Signal."""
-    return Signal(ctx, quad_phase_values(ctx, QuadPhase(r, s))
+    return Signal(ctx, quad_phase_values(ctx, r, s)
                   * mult_char_values(ctx, MultChar(k)))
 
 
@@ -241,7 +238,6 @@ def signal_to_json(f: Signal) -> dict:
 
 
 def signal_from_json(obj: dict, ctx: Optional[FieldCtx] = None) -> Signal:
-    from .field import cached_field
     p = int(obj["p"])
     if ctx is None:
         ctx = cached_field(p)

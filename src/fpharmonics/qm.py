@@ -35,7 +35,7 @@ import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
 from .counting import MarginReport, T
-from .field import FieldCtx, cached_field
+from .field import FieldCtx
 from .harmonic import Signal, indicator
 
 TRIG_MAX_D = 4
@@ -137,13 +137,13 @@ class QMSystem:
         return {"p": self.ctx.p, "dims": [{"a": a, "k": k} for a, k in self.dims]}
 
     @staticmethod
-    def from_json(obj: dict, ctx: Optional[FieldCtx] = None) -> "QMSystem":
-        p = int(obj["p"])
-        if ctx is None:
-            ctx = cached_field(p)
-        elif ctx.p != p:
-            raise ValueError("ctx mismatch")
-        return QMSystem(ctx, tuple((d["a"], d["k"]) for d in obj["dims"]))
+    def random(ctx: FieldCtx, d: int, rng: np.random.Generator) -> "QMSystem":
+        """d seeded pairs, a uniform on 1..p-1 then k on 0..p-2 for each."""
+        if not 0 <= d <= (ctx.p - 1) ** 2:
+            # more dimensions than distinct pairs (a, k) would only repeat them
+            raise ValueError(f"need 0 <= d <= (p-1)^2 = {(ctx.p - 1) ** 2}, got {d}")
+        return QMSystem(ctx, [(int(rng.integers(1, ctx.p)), int(rng.integers(0, ctx.p - 1)))
+                              for _ in range(d)])
 
 
 def eval_system(psi: QMSystem, x: int) -> GPoint:
@@ -205,14 +205,11 @@ class HGroup:
         return len(self.gplus) ** 2 * len(self.gtimes)
 
 
-def _cyclic_orbit(vec: Sequence[int], modulus: int, n_params: int) -> np.ndarray:
-    seen = {}
-    v = np.array(vec, dtype=np.int64)
-    for s in range(n_params):
-        key = tuple(int(t) for t in (s * v % modulus))
-        if key not in seen:
-            seen[key] = None
-    return np.array(list(seen.keys()), dtype=np.int64).reshape(len(seen), len(vec))
+def _cyclic_orbit(vec: Sequence[int], modulus: int) -> np.ndarray:
+    """Distinct rows s*vec mod modulus in order of first appearance: they
+    repeat with period modulus / gcd(modulus, *vec) in s."""
+    s = np.arange(modulus // math.gcd(modulus, *vec), dtype=np.int64)
+    return s[:, None] * np.array(vec, dtype=np.int64) % modulus
 
 
 def enumerate_H(psi: QMSystem) -> HGroup:
@@ -220,8 +217,8 @@ def enumerate_H(psi: QMSystem) -> HGroup:
     if psi.d < 1:
         raise ValueError("enumerate_H needs d >= 1")
     p = psi.ctx.p
-    gplus = _cyclic_orbit(psi.a_vec, p, p)
-    gtimes = _cyclic_orbit(psi.k_vec, p - 1, p - 1)
+    gplus = _cyclic_orbit(psi.a_vec, p)
+    gtimes = _cyclic_orbit(psi.k_vec, p - 1)
     return HGroup(psi, gplus, gtimes)
 
 
@@ -267,11 +264,6 @@ class TrigPoly:
         scale = mass / total if total > 0 else 1.0
         return TrigPoly(d, {k: c * scale for k, c in terms.items()})
 
-    def conj(self) -> "TrigPoly":
-        return TrigPoly(self.d, {tuple(tuple(-v for v in blk) for blk in key):
-                                 complex(c).conjugate()
-                                 for key, c in self.terms.items()})
-
     def shifted(self, h: GPoint) -> "TrigPoly":
         """T_h F(x) = F(x + h): each coefficient picks up a unit phase."""
         p, q = h.p, h.p - 1
@@ -283,20 +275,6 @@ class TrigPoly:
             phase = np.exp(2j * np.pi * (n1 / p + n2 / p + n3 / q))
             out[(x1, x2, x3)] = c * phase
         return TrigPoly(self.d, out)
-
-    def to_json(self) -> dict:
-        return {"d": self.d,
-                "terms": [{"xi1": list(x1), "xi2": list(x2), "xi3": list(x3),
-                           "coef": [c.real, c.imag]}
-                          for (x1, x2, x3), c in self.terms.items()]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TrigPoly":
-        terms = {}
-        for t in obj["terms"]:
-            key = (tuple(t["xi1"]), tuple(t["xi2"]), tuple(t["xi3"]))
-            terms[key] = complex(t["coef"][0], t["coef"][1])
-        return TrigPoly(int(obj["d"]), terms)
 
 
 def trig_norm(F: TrigPoly) -> float:

@@ -15,9 +15,8 @@ eps_r = 2^(1-7r) / (r!)^3.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +26,6 @@ Element = tuple  # residue tuple, one entry per cyclic factor
 Pair = tuple     # (t, u) with t, u elements
 
 DIRECT_BUDGET = 10**9
-ACCEL_REQUIRED_ABOVE = 10**7
 
 
 def eps_r(r: int) -> Fraction:
@@ -59,14 +57,8 @@ class FiniteGroup:
     def elements(self) -> list:
         return [tuple(e) for e in itertools.product(*(range(n) for n in self.factors))]
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
-
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
 
     @property
     def zero(self) -> Element:
@@ -93,24 +85,22 @@ def difference_multiset(group: FiniteGroup, T: Sequence[Element]) -> dict:
 
 
 def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
-             distinct: bool = False, method: str = "auto") -> Fraction:
+             distinct: bool = False, method: str = "tables") -> Fraction:
     """Triple density of A over T, an exact rational with denominator |T|^5.
 
     With distinct=True the three pair-points (t1, u), (t2, u), (t3, t2-t1)
     are required to be pairwise distinct, matching the combinatorial model
     statement; the default counts all configurations, matching the integral.
 
-    method: "auto" (tables, falling back to the defining quintuple sum only
-    on request), "direct" (the defining sum, |T|^5 <= 10^9), or
-    "tables" (pair-degree factorization, required above 10^7).
+    method: "tables" (the pair-degree factorization) or "direct" (the
+    defining quintuple sum, the oracle, for |T|^5 <= 10^9 and
+    distinct=False only).
     """
     T = list(T)
     A = set(A)
     n = len(T)
     if n == 0:
         raise ValueError("T must be nonempty")
-    if method == "auto":
-        method = "tables"
     if method == "direct":
         if n**5 > DIRECT_BUDGET:
             raise ValueError(
@@ -246,10 +236,6 @@ class PairColoring:
                    for cls in obj["classes"]]
         return PairColoring(group, T, classes)
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-
 
 def extremal_coloring(r: int) -> PairColoring:
     """The (2r+1)-class coloring of F_2^r x F_2^r in which every
@@ -362,8 +348,8 @@ def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
     measure = sum(nu_x[x] for x in x_prime)
     if 2 * measure < alpha:
         raise AssertionError(f"nu_x(X') = {measure} < alpha/2 = {alpha / 2}")
-    bad_inside = sum(nu_x[x1] * nu_x[x2] for x1 in x_prime for x2 in x_prime
-                     if (x1, x2) in bad)
+    bad_inside = sum((nu_x[x1] * nu_x[x2] for x1 in x_prime for x2 in x_prime
+                      if (x1, x2) in bad), Fraction(0))
     if bad_inside > eta * measure * measure:
         raise AssertionError(
             f"bad-pair mass {bad_inside} > eta * nu_x(X')^2 "

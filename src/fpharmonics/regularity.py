@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
-from .field import FieldCtx
+from .field import FieldCtx, quad_phase_values
 from .harmonic import (Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
 from .qm import QMSystem, TrigPoly, orbit_arrays, compose_signal
@@ -134,10 +134,9 @@ def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
     keep = np.abs(inner) >= eps / 2
     lambdas = {(int(r), int(s)): complex(inner[r, s])
                for r, s in zip(*np.nonzero(keep))}
-    x = np.arange(p, dtype=np.int64)
     structured = np.zeros(p, dtype=np.complex128)
     for (r, s), lam in lambdas.items():
-        structured += lam * f.ctx.roots_p[(r * x * x + s * x) % p]
+        structured += lam * quad_phase_values(f.ctx, r, s)
     residual = Signal(f.ctx, f.values - structured)
     res_u3 = norm_u3_plus(residual).value
 
@@ -164,10 +163,9 @@ def decomposable_unit_signal(ctx: FieldCtx, rng: np.random.Generator,
     phases (coefficient tails at scale 1/sqrt(p) cross the eps/2 line), so
     the property suite draws from this family instead."""
     p = ctx.p
-    x = np.arange(p, dtype=np.int64)
     r, s = rng.integers(0, p, 2)
     c = amp * np.exp(2j * np.pi * rng.uniform())
-    vals = c * ctx.roots_p[(r * x * x + s * x) % p]
+    vals = c * quad_phase_values(ctx, r, s)
     nz = rng.standard_normal(p) + 1j * rng.standard_normal(p)
     nz /= np.sqrt(np.mean(np.abs(nz) ** 2))
     vals = vals + noise * nz

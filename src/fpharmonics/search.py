@@ -17,7 +17,6 @@ none.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,10 +82,6 @@ class SearchResult:
         if self.coloring is not None:
             out["coloring"] = list(self.coloring)
         return out
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
 
 
 def interval_backtrack(N: int, r: int, distinct: bool = False,

@@ -141,6 +141,25 @@ def test_equidist_d0_exits_two_promptly():
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_fails_under_optimize_when_T_is_wrong():
+    # python -O strips assert statements, so the verify checks must raise
+    # on their own; each failure names the check it came from
+    src = Path(fpharmonics.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "import fpharmonics.counting as counting\n"
+            "from fpharmonics.cli import main\n"
+            "T = counting.T\n"
+            "counting.T = lambda *fs: T(*fs) + 1\n"
+            "sys.exit(main(['verify']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    failed = [line for line in proc.stderr.splitlines()
+              if line.startswith("FAILED:")]
+    assert len(failed) == 1 and "count_example_err" in failed[0], proc.stderr
+
+
 def _subparsers():
     action = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fpharmonics.field import (MultChar, cached_field, eval_add_char,
-                               eval_mult_char, new_field)
+from fpharmonics.field import (MultChar, cached_field, mult_char_values,
+                               new_field, quad_phase_values)
 
 
 def test_primitive_root_p7():
@@ -22,26 +22,29 @@ def test_primitive_root_p5():
 
 
 def test_composite_rejected_with_witness():
-    with pytest.raises(ValueError, match="3"):
-        new_field(9)
+    for n, witness in [(9, 3), (4, 2), (25, 5), (91, 7), (100001, 11)]:
+        with pytest.raises(ValueError,
+                           match=f"^p={n} is not prime: divisible by {witness}$"):
+            new_field(n)
 
 
 def test_add_char_fixtures():
-    assert eval_add_char(cached_field(7), 0, 5) == pytest.approx(1)
-    assert eval_add_char(cached_field(5), 1, 1) == pytest.approx(
+    # e_p(r x) is the quadratic phase with no x^2 term
+    assert quad_phase_values(cached_field(7), 0, 0)[5] == pytest.approx(1)
+    assert quad_phase_values(cached_field(5), 0, 1)[1] == pytest.approx(
         np.exp(2j * np.pi / 5))
     # r=3, x=2 -> e_p(6)
-    assert eval_add_char(cached_field(7), 3, 2) == pytest.approx(
+    assert quad_phase_values(cached_field(7), 0, 3)[2] == pytest.approx(
         np.exp(2j * np.pi * 6 / 7))
 
 
 def test_mult_char_fixtures():
     ctx5 = cached_field(5)
-    assert eval_mult_char(cached_field(7), MultChar(0), 4) == pytest.approx(1)
+    assert mult_char_values(cached_field(7), MultChar(0))[4] == pytest.approx(1)
     # dlog_2(4) = 2, e(2*2/4) = 1
-    assert eval_mult_char(ctx5, MultChar(2), 4) == pytest.approx(1)
+    assert mult_char_values(ctx5, MultChar(2))[4] == pytest.approx(1)
     # chi(0) = 1 convention
-    assert eval_mult_char(ctx5, MultChar(1), 0) == pytest.approx(1)
+    assert mult_char_values(ctx5, MultChar(1))[0] == pytest.approx(1)
 
 
 def test_dlog_pow_inverse():

@@ -1,0 +1,47 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fpharmonics
+
+PACKAGE_DIR = Path(fpharmonics.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) for each imported name that the scope holding the
+    import (the module, or the function for a local import) never reads."""
+    tree = ast.parse(source)
+    scope_of = {}
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        for node in ast.walk(scope):
+            scope_of[node] = scope  # inner functions are walked later and win
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        scope = scope_of[node]
+        names = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in names:
+                unused.append((node.lineno, bound))
+    return unused
+
+
+def test_detector_sees_module_and_local_imports():
+    source = ("import json\nfrom typing import Optional, Union\n"
+              "def f(x: Optional[int]):\n    from math import pi, tau\n    return pi\n"
+              "def g():\n    return tau\n")
+    assert unused_imports(source) == [(1, "json"), (2, "Union"), (4, "tau")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -62,6 +62,33 @@ def test_enumerate_H_gcd_reduction():
     assert len(H.gtimes) == 3
 
 
+def _cyclic_orbit_by_dedup(vec, modulus):
+    """Oracle: walk s = 0..modulus-1 and keep each new row s*vec mod modulus."""
+    seen = {}
+    v = np.array(vec, dtype=np.int64)
+    for s in range(modulus):
+        seen.setdefault(tuple(int(t) for t in s * v % modulus), None)
+    return np.array(list(seen), dtype=np.int64).reshape(len(seen), len(vec))
+
+
+def test_enumerate_H_matches_dedup_orbits(rng):
+    n = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        ctx = cached_field(p)
+        for d in range(1, 5):
+            systems = [[(0, 0)] * d]  # all-zero a and k vectors
+            systems += [[(int(rng.integers(0, p)), int(rng.integers(0, p - 1)))
+                         for _ in range(d)] for _ in range(49)]
+            for dims in systems:
+                psi = QMSystem(ctx, dims)
+                H = enumerate_H(psi)
+                assert np.array_equal(H.gplus, _cyclic_orbit_by_dedup(psi.a_vec, p))
+                assert np.array_equal(H.gtimes,
+                                      _cyclic_orbit_by_dedup(psi.k_vec, p - 1))
+                n += 1
+    assert n == 1600
+
+
 def test_H_annihilates_lattices():
     psi = system(7, [(1, 2), (2, 4)])
     H = enumerate_H(psi)

@@ -80,6 +80,8 @@ def test_drc_trivial_complete():
     res = dependent_random_choice(nux, nuy, A, Fraction(1, 2))
     assert res.x_prime == frozenset(range(4))
     assert not res.bad_pairs
+    # no bad pair inside X', and the empty mass is still an exact Fraction
+    assert type(res.bad_measure_inside) is Fraction and res.bad_measure_inside == 0
 
 
 def test_drc_half_bipartite():
