@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +67,7 @@ def emit(report: dict, args) -> None:
     for key, value in _flatten(report):
         print(f"{key:40s} {value}")
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
             with open(args.out, "w") as fh:
                 json.dump(report, fh, indent=1, sort_keys=True)
@@ -455,14 +457,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        emit(args.func(args), args)
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(report, args)
     return 0
 
 

@@ -5,6 +5,10 @@ functions, p^2 * T counts pairs (x,y) whose quadruple (x, y, x+y, xy) is
 confined to the indicated sets.  The censuses here are the exact-integer
 ground truth; the floating T is the cross-check.
 
+T, T_tilde and the censuses walk the pair table (x, y) in blocks of about
+ROW_BLOCK entries: they run at any table prime in O(p^2) time and hold
+no p x p array.
+
 The check_* operations are two-sided margin audits: they return the left
 and right side of each inequality plus the slack, so that implicit O(.)
 constants become measurable instead of assumed.
@@ -21,13 +25,52 @@ from .harmonic import (Signal, add_transform, difference_spectrum, indicator, no
                        norm_u2_plus, norm_u2_times, norm_u3_plus, require_same_ctx)
 
 
-def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
-    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation."""
-    ctx = require_same_ctx(f1, f2, f3, f4)
+ROW_BLOCK = 1 << 16  # entries in one block of the pair table
+
+
+def _row_blocks(ctx: FieldCtx, v_add: np.ndarray, v_mul: np.ndarray):
+    """Walk the pair table over x, y in F* in blocks of rows x.
+
+    For (..., p) arrays v_add and v_mul, yields (lo, hi, A, M) with
+    A[..., x - lo, y - 1] = v_add(x + y) and M[..., x - lo, y - 1] = v_mul(xy)
+    for lo <= x < hi.  A is a window over v_add twice over (no copy); M
+    gathers the dlog-ordered copy v_mul(g^a), doubled, at dlog x + dlog y,
+    so no index is reduced mod p.  Row x = 0 and column y = 0 are left to
+    each caller's closed form.  M and its index live in two buffers
+    allocated once per call, so M is only valid until the next block.
+    """
     p = ctx.p
-    grid = (f1.values[:, None] * f2.values[None, :]
-            * f3.values[ctx.grid("add")] * f4.values[ctx.grid("mul")])
-    return complex(np.sum(grid) / p**2)
+    adds = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((v_add, v_add[..., :-1]), axis=-1), p - 1, axis=-1)
+    h = v_mul[..., ctx.pow_g]
+    step = min(max(1, ROW_BLOCK // h.size), p - 1)  # h.size: one row of each table
+    h = np.concatenate((h, h), axis=-1)
+    dlog_y = ctx.dlog[1:]
+    idx = np.empty((step, p - 1), dtype=np.intp)
+    M = np.empty(h.shape[:-1] + idx.shape, dtype=h.dtype)
+    for lo in range(1, p, step):
+        n = min(step, p - lo)
+        np.add(ctx.dlog[lo:lo + n, None], dlog_y, out=idx[:n])
+        # indices are in range; mode "clip" only spares take() a buffered copy
+        np.take(h, idx[:n], axis=-1, out=M[..., :n, :], mode="clip")
+        yield lo, lo + n, adds[..., lo + 1:lo + n + 1, :], M[..., :n, :]
+
+
+def _pair_sum(ctx: FieldCtx, v1, v2, v3, v4) -> complex:
+    """sum_{x, y in F*} v1(x) v2(y) v3(x+y) v4(xy)."""
+    v2_star = v2[1:]
+    return sum(v1[lo:hi] @ np.einsum("ij,ij,j->i", A, M, v2_star)
+               for lo, hi, A, M in _row_blocks(ctx, v3, v4))
+
+
+def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
+    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation; the
+    pairs (0, y) and (x, 0) reduce to f1(0) f4(0) sum_y f2 f3 and
+    f2(0) f4(0) sum_{x != 0} f1 f3."""
+    ctx = require_same_ctx(f1, f2, f3, f4)
+    v1, v2, v3, v4 = (f.values for f in (f1, f2, f3, f4))
+    border = v4[0] * (v1[0] * np.sum(v2 * v3) + v2[0] * np.sum(v1[1:] * v3[1:]))
+    return complex((border + _pair_sum(ctx, v1, v2, v3, v4)) / ctx.p**2)
 
 
 def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
@@ -44,10 +87,8 @@ def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
 def T_tilde(g1: Signal, g2: Signal, g4: Signal) -> complex:
     """E_{x,y in F*} g1(x) g2(y) g4(xy)."""
     ctx = require_same_ctx(g1, g2, g4)
-    p = ctx.p
-    grid = (g1.values[1:, None] * g2.values[None, 1:]
-            * g4.values[ctx.grid("mul")[1:, 1:]])
-    return complex(np.sum(grid) / (p - 1)**2)
+    total = _pair_sum(ctx, g1.values, g2.values, np.ones(ctx.p), g4.values)
+    return complex(total / (ctx.p - 1)**2)
 
 
 def T_boundary_identity(g1: Signal, g2: Signal, g4: Signal) -> complex:
@@ -142,13 +183,23 @@ class QuadrupleCensus:
                 "per_color": list(self.per_color), "total": self.total}
 
 
-def monochromatic_mask(ctx: FieldCtx, assign: np.ndarray) -> np.ndarray:
-    """Boolean matrix [x, y]: x, y, x+y, xy all get the same color under
-    the total coloring `assign` of F_p (an int array of length p)."""
-    cx = assign[:, None]
-    return ((cx == assign[None, :])
-            & (cx == assign[ctx.grid("add")])
-            & (cx == assign[ctx.grid("mul")]))
+def monochromatic_counts(ctx: FieldCtx, assign) -> np.ndarray:
+    """Per-x counts [..., x] of the y in F with x, y, x+y, xy all of one
+    color, for a (..., p) stack of total colorings of F_p.
+
+    The pairs (0, y) and (x, 0) are monochromatic exactly when y, resp. x,
+    has the color of 0.
+    """
+    a = np.asarray(assign)
+    c = a.astype(np.promote_types(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
+    same0 = c == c[..., :1]
+    counts = same0.astype(np.int64)
+    counts[..., 0] = np.count_nonzero(same0, axis=-1)
+    c_star = c[..., None, 1:]
+    for lo, hi, A, M in _row_blocks(ctx, c, c):
+        cx = c[..., lo:hi, None]
+        counts[..., lo:hi] += np.count_nonzero((c_star == cx) & (A == cx) & (M == cx), axis=-1)
+    return counts
 
 
 def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
@@ -159,26 +210,31 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
         raise ValueError(f"{c.r} colors on F_{ctx.p}: at most p classes can be used")
     if not c.is_total():
         raise ValueError("partial coloring rejected; census needs a total coloring")
-    per_x = np.count_nonzero(monochromatic_mask(ctx, c.assign), axis=1)
+    per_x = monochromatic_counts(ctx, c.assign)
     per = [int(per_x[c.assign == i].sum()) for i in range(c.r)]
     return QuadrupleCensus(p=ctx.p, r=c.r, per_color=tuple(per), total=sum(per))
 
 
+# which two of (y, x+y, xy) each kind asks to lie in A besides x
+_TRIPLE_KINDS = {"sum": (0, 1), "product": (0, 2), "shkredov": (1, 2)}
+
+
 def census_triples(ctx: FieldCtx, A, kind: str = "shkredov") -> int:
     """Count pairs (x,y) whose triple lies in A: kind 'sum' counts
-    (x, y, x+y), 'product' counts (x, y, xy), 'shkredov' counts (x, x+y, xy)."""
+    (x, y, x+y), 'product' counts (x, y, xy), 'shkredov' counts (x, x+y, xy).
+
+    For every kind the pairs (0, y) and (x, 0) count when 0 and y, resp.
+    0 and x, lie in A: 2|A| - 1 of them if 0 is in A, none otherwise.
+    """
+    if kind not in _TRIPLE_KINDS:
+        raise ValueError(kind)
+    i, j = _TRIPLE_KINDS[kind]
     mask = indicator(ctx, A).values != 0
-    mx = mask[:, None]
-    my = mask[None, :]
-    madd = mask[ctx.grid("add")]
-    mmul = mask[ctx.grid("mul")]
-    if kind == "sum":
-        return int(np.sum(mx & my & madd))
-    if kind == "product":
-        return int(np.sum(mx & my & mmul))
-    if kind == "shkredov":
-        return int(np.sum(mx & madd & mmul))
-    raise ValueError(kind)
+    count = int(mask[0]) * (2 * int(np.count_nonzero(mask)) - 1)
+    for lo, hi, in_add, in_mul in _row_blocks(ctx, mask, mask):
+        in_A = (mask[1:], in_add, in_mul)
+        count += int(np.count_nonzero((in_A[i] & in_A[j])[mask[lo:hi]]))
+    return count
 
 
 # -- inequality audits -------------------------------------------------------

@@ -53,9 +53,14 @@ class FieldCtx:
     roots_pm1: np.ndarray # exp(2*pi*i*j/(p-1)), j = 0..p-2
     _grids: dict = field(default_factory=dict, compare=False, repr=False)
 
-    # -- lazy p x p index grids used by the counting kernels ---------------
+    # -- lazy p x p index grids, kept only for the benchmark harness -------
     def grid(self, kind: str) -> np.ndarray:
-        """Index grid over (x, y): kind 'add' gives (x+y) mod p, 'mul' x*y mod p."""
+        """Index grid over (x, y): kind 'add' gives (x+y) mod p, 'mul' x*y mod p.
+
+        No fpharmonics code calls this: the counting kernels walk the pair
+        table in row blocks.  It stays only because perfbench builds, wraps
+        and times it.
+        """
         if self.p > MAX_GRID_PRIME:
             raise ValueError(f"p={self.p} too large for dense p x p grids")
         if kind not in self._grids:

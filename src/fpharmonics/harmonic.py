@@ -203,15 +203,17 @@ def norm_qm(f: Signal) -> NormResult:
     With q = f conj(e_p(r x^2)) and x = g^a, p <f, e_p(r x^2 + s x) chi_k>
     = q(0) + sum_a e_p(-s g^a) q(g^a) e(-ka/(p-1)): one length-(p-1)
     transform per s.  One pass keeps each r's max; only the winning r is
-    transformed again to find (s, k).
+    transformed again to find (s, k).  Every row reuses one set of (p, p-1)
+    buffers, allocated once per call.
     """
     ctx, p = f.ctx, f.p
     E = ctx.roots_p[np.multiply.outer(-np.arange(p), ctx.pow_g) % p]
+    y, Y, mags = np.empty_like(E), np.empty_like(E), np.empty(E.shape)
 
     def row_mags(q):  # p |<f, phi chi>| as a matrix [s, k]
-        y = E * q[ctx.pow_g]
+        np.multiply(E, q[ctx.pow_g], out=y)
         y[:, 0] += q[0]  # x = 0: one term, added to every k
-        return np.abs(np.fft.fft(y, axis=1))
+        return np.abs(np.fft.fft(y, axis=1, out=Y), out=mags)
 
     rows = _quad_demodulated(f)
     top, (r,) = _sup(np.array([row_mags(q).max() for q in rows]))

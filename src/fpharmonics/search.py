@@ -16,13 +16,12 @@ none.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .counting import monochromatic_mask
+from .counting import ROW_BLOCK, monochromatic_counts
 from .field import FieldCtx
 
 MAX_N = 300
@@ -235,31 +234,36 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     p = ctx.p
     if r < 1:
         raise ValueError(f"need r >= 1 colors, got {r}")
+    size = max(1, ROW_BLOCK // p**2)  # colorings counted per call
     if mode == "exhaustive":
         if r**p > EXHAUSTIVE_BUDGET:
             raise ValueError(f"r^p = {r**p} exceeds the exhaustive budget")
-        colorings = (np.array(c, dtype=np.int64)
-                     for c in itertools.product(range(r), repeat=p))
         n_total = r**p
+        digits = r ** np.arange(p - 1, -1, -1, dtype=np.int64)
+        # base-r digits of 0..r^p - 1, most significant first: itertools.product order
+        stacks = (np.arange(lo, min(lo + size, n_total))[:, None] // digits % r
+                  for lo in range(0, n_total, size))
     elif mode == "random":
         if not 1 <= count <= EXHAUSTIVE_BUDGET:
             raise ValueError(f"random scan needs 1 <= count <= {EXHAUSTIVE_BUDGET}, "
                              f"got {count}")
         if rng is None:
             rng = np.random.default_rng()
-        colorings = (rng.integers(0, r, size=p) for _ in range(count))
         n_total = count
+        stacks = (np.array([rng.integers(0, r, size=p) for _ in range(min(size, count - lo))])
+                  for lo in range(0, count, size))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     best = None
     best_coloring = None
     total = 0
-    for c in colorings:
-        q = int(np.count_nonzero(monochromatic_mask(ctx, c)))
-        total += q
-        if best is None or q < best:
-            best, best_coloring = q, np.array(c)
+    for colorings in stacks:
+        q = monochromatic_counts(ctx, colorings).sum(axis=-1)
+        total += int(q.sum())
+        i = int(np.argmin(q))  # the first minimizer, so the lex-first one overall
+        if best is None or q[i] < best:
+            best, best_coloring = int(q[i]), colorings[i]
     if best < 1:
         raise AssertionError("the zero quadruple makes every count >= 1")
     return {

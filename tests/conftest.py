@@ -41,3 +41,13 @@ def oracle_signals(rng):
             qm_basis_signal(ctx, 1, 0, (p - 1) // 2),
         ]
     return make
+
+
+@pytest.fixture
+def pair_grids():
+    """The full p x p index grids (x+y) % p and x*y % p: the test-side
+    oracle for the row-block counting kernels."""
+    def make(ctx):
+        x = np.arange(ctx.p, dtype=np.int64)
+        return (x[:, None] + x) % ctx.p, (x[:, None] * x) % ctx.p
+    return make

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import fpharmonics
 from fpharmonics.cli import build_parser, main
+from fpharmonics.field import FieldCtx
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -78,6 +79,28 @@ def test_subcommand_exit_zero(argv, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["schema"] == 1
     assert_matches_golden(report, json.loads(golden_path(argv).read_text()))
+
+
+def test_counting_goldens_build_no_grid(tmp_path, monkeypatch, capsys):
+    def refuse(self, kind):
+        raise RuntimeError(f"p x p {kind} grid requested")
+    monkeypatch.setattr(FieldCtx, "grid", refuse)
+    for argv in (a for a in ALL_GREEN if a[0] in ("count", "census", "scan", "verify")):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert_matches_golden(json.loads(out.read_text()),
+                              json.loads(golden_path(argv).read_text()))
+
+
+def test_out_creates_missing_parent_directories(tmp_path, capsys):
+    out = tmp_path / "a" / "b" / "report.json"
+    assert main(["count", "--p", "13", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["p"] == 13
+
+
+def test_out_naming_a_directory_exits_two(tmp_path, capsys):
+    assert main(["count", "--p", "13", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_reports_are_deterministic(tmp_path):

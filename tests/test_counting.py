@@ -3,15 +3,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fpharmonics.counting import (Coloring, HypothesisError, T,
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import fpharmonics
+from fpharmonics.counting import (ROW_BLOCK, Coloring, HypothesisError, T,
                                   T_boundary_identity, T_spectral_sums,
                                   T_tilde, census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
                                   check_u2times_star_bound, differencing_sup,
+                                  monochromatic_counts,
                                   phased_character_example)
-from fpharmonics.field import cached_field
+from fpharmonics.field import FieldCtx, cached_field
 from fpharmonics.harmonic import (Signal, add_transform, indicator, ones,
                                   random_signal)
+from fpharmonics.search import fp_coloring_scan
 
 
 def test_T_all_ones():
@@ -215,3 +224,124 @@ def test_simple_lemma_random_suite(rng):
         fs = [random_signal(ctx, rng, unit_l2=True) for _ in range(3)]
         s = rng.choice(17, size=3, replace=False)
         assert check_simple_lemma(fs[0], fs[1], fs[2], s.tolist()).ok()
+
+
+# -- the p x p grid formulas the row-block kernels replaced, kept as oracles --
+
+TRIPLE_KINDS = ("sum", "product", "shkredov")
+# 401: its 400 rows split into blocks of 163, 163 and 74
+ORACLE_PRIMES = (3, 5, 13, 401, 1009)
+
+
+def grid_T(f1, f2, f3, f4, add, mul):
+    return np.sum(f1.values[:, None] * f2.values[None, :]
+                  * f3.values[add] * f4.values[mul]) / f1.p**2
+
+
+def grid_T_tilde(g1, g2, g4, mul):
+    return np.sum(g1.values[1:, None] * g2.values[None, 1:]
+                  * g4.values[mul[1:, 1:]]) / (g1.p - 1)**2
+
+
+def grid_monochromatic_counts(assign, add, mul):
+    cx = assign[:, None]
+    return np.count_nonzero((cx == assign[None, :]) & (cx == assign[add])
+                            & (cx == assign[mul]), axis=1)
+
+
+def grid_triples(mask, add, mul, kind):
+    mx, my = mask[:, None], mask[None, :]
+    third = {"sum": my & mask[add], "product": my & mask[mul],
+             "shkredov": mask[add] & mask[mul]}[kind]
+    return int(np.sum(mx & third))
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def test_oracle_primes_include_an_uneven_block_split():
+    p = 401
+    assert (p - 1) % (ROW_BLOCK // (p - 1)) != 0
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_T_and_T_tilde_match_grid_oracle(p, oracle_signals, pair_grids):
+    ctx = cached_field(p)
+    add, mul = pair_grids(ctx)
+    sigs = oracle_signals(ctx)
+    for i in range(len(sigs)):
+        f1, f2, f3, f4 = (sigs[(i + k) % len(sigs)] for k in range(4))
+        assert_close(T(f1, f2, f3, f4), grid_T(f1, f2, f3, f4, add, mul))
+        assert_close(T_tilde(f1, f2, f4), grid_T_tilde(f1, f2, f4, mul))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_censuses_match_grid_oracle(p, rng, pair_grids):
+    ctx = cached_field(p)
+    add, mul = pair_grids(ctx)
+    colorings = {r: rng.integers(0, r, p) for r in (1, 2, 3, p)}
+    stack = np.array(list(colorings.values()))
+    assert np.array_equal(monochromatic_counts(ctx, stack),
+                          [grid_monochromatic_counts(c, add, mul) for c in stack])
+    for r, c in colorings.items():
+        want = grid_monochromatic_counts(c, add, mul)
+        assert np.array_equal(monochromatic_counts(ctx, c), want)
+        census = census_quadruples(ctx, Coloring(p, r, c))
+        assert census.per_color == tuple(int(want[c == i].sum()) for i in range(r))
+        for i in sorted({0, r - 1}):
+            for kind in TRIPLE_KINDS:
+                assert census_triples(ctx, np.flatnonzero(c == i).tolist(), kind) \
+                    == grid_triples(c == i, add, mul, kind)
+
+
+def test_census_above_the_old_grid_cap_matches_T(rng):
+    p = 2053  # the p x p grids stopped at p = 2048
+    ctx = cached_field(p)
+    c = rng.integers(0, 2, p)
+    census = census_quadruples(ctx, Coloring(p, 2, c))
+    for i in range(2):
+        ind = indicator(ctx, np.flatnonzero(c == i).tolist())
+        assert census.per_color[i] == round(p**2 * T(ind, ind, ind, ind).real)
+
+
+def test_counting_kernels_build_no_grid(monkeypatch, oracle_signals, rng):
+    def refuse(self, kind):
+        raise RuntimeError(f"p x p {kind} grid requested")
+    monkeypatch.setattr(FieldCtx, "grid", refuse)
+    ctx = cached_field(13)
+    f1, f2, f3, f4 = oracle_signals(ctx)[:4]
+    c = rng.integers(0, 3, 13)
+    T(f1, f2, f3, f4)
+    T_tilde(f1, f2, f4)
+    T_boundary_identity(f1, f2, f4)
+    monochromatic_counts(ctx, c)
+    census_quadruples(ctx, Coloring(13, 3, c))
+    for kind in TRIPLE_KINDS:
+        census_triples(ctx, [1, 3, 4, 9], kind)
+    fp_coloring_scan(cached_field(7), 2)
+    fp_coloring_scan(ctx, 3, mode="random", count=20, rng=rng)
+
+
+def test_census_and_T_at_p2039_stay_small():
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from fpharmonics.counting import Coloring, T, census_quadruples
+        from fpharmonics.field import new_field
+        from fpharmonics.harmonic import random_signal
+        ctx = new_field(2039)
+        rng = np.random.default_rng(0)
+        fs = [random_signal(ctx, rng) for _ in range(4)]
+        coloring = Coloring(2039, 2, rng.integers(0, 2, 2039))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        census_quadruples(ctx, coloring)
+        T(*fs)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    src = Path(fpharmonics.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown_mb = int(proc.stdout) / (1024**2 if sys.platform == "darwin" else 1024)
+    assert grown_mb <= 50

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
+from fpharmonics.counting import ROW_BLOCK
 from fpharmonics.field import cached_field
 from fpharmonics.search import (SearchResult, check_interval_coloring,
                                 fp_coloring_scan, interval_backtrack,
@@ -81,6 +83,43 @@ def test_quadruple_count_monochrome():
     # r = 1 leaves one coloring, which makes every pair monochromatic
     out = fp_coloring_scan(cached_field(11), 1)
     assert out["scanned"] == 1 and out["min"] == out["mean"] == 11**2
+
+
+def scan_loop(ctx, r, mode, colorings, n_total, add, mul):
+    """The per-coloring scan that stacked counting replaced, on the p x p
+    grid formulas."""
+    best = best_coloring = None
+    total = 0
+    for c in colorings:
+        c = np.array(c, dtype=np.int64)
+        cx = c[:, None]
+        q = int(np.count_nonzero((cx == c[None, :]) & (cx == c[add]) & (cx == c[mul])))
+        total += q
+        if best is None or q < best:
+            best, best_coloring = q, c
+    return {"p": ctx.p, "r": r, "mode": mode, "scanned": n_total,
+            "min": best, "mean": total / n_total,
+            "min_coloring": best_coloring.tolist(), "min_over_p2": best / ctx.p**2}
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
+def test_scan_exhaustive_matches_product_loop(p, r, pair_grids):
+    ctx = cached_field(p)
+    want = scan_loop(ctx, r, "exhaustive", itertools.product(range(r), repeat=p),
+                     r**p, *pair_grids(ctx))
+    assert fp_coloring_scan(ctx, r) == want
+
+
+@pytest.mark.parametrize("p, r, count", [(13, 2, 2 * (ROW_BLOCK // 13**2) + 7),
+                                         (7, 3, ROW_BLOCK // 7**2 + 1),
+                                         (401, 2, 3)])
+def test_scan_random_matches_per_coloring_loop(p, r, count, pair_grids):
+    ctx = cached_field(p)
+    want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
+    want = scan_loop(ctx, r, "random", (want_rng.integers(0, r, size=p) for _ in range(count)),
+                     count, *pair_grids(ctx))
+    assert fp_coloring_scan(ctx, r, mode="random", count=count, rng=got_rng) == want
+    assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)  # same draws consumed
 
 
 # -- the plain DFS the propagating search replaced, kept as its oracle ---------
