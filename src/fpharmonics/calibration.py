@@ -9,9 +9,10 @@ re-run via the calibrate_* functions (all four at once with run_all).
 
 Fixed (non-calibrated) entries:
   * babycount_single_mode = 6: single off-lattice mode error |E_x F(Psi(x))|
-    is asserted <= 6/sqrt(p).  Derived from the Weil bound: a single mode
-    is a mixed quadratic-multiplicative character sum of magnitude at most
-    (2 sqrt(p) + 2)/p <= 6/sqrt(p) for every p >= 3.
+    is at most 6/sqrt(p); baby_count asserts its margin within 6/sqrt(p)
+    times the coefficient mass of the off-lattice terms.  Derived from the
+    Weil bound: a single mode is a mixed quadratic-multiplicative character
+    sum of magnitude at most (2 sqrt(p) + 2)/p <= 6/sqrt(p) for every p >= 3.
   * u3box_weil = 7.0 and u3box_degenerate = 34.0: derived budgets for the
     eight-fold correlation (7 = t-1 at t = 8; 34 = 26 degenerate shift
     planes + 8 for the chi(0) = 1 convention defects).

@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -394,7 +395,11 @@ COMMON_FLAGS = {"p": (int, 13), "r": (int, 2), "d": (int, 1),
                 "eps": (float, 0.5), "seed": (int, 0)}
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: parsing keeps no
+    state on it, since every action stores an immutable default or value
+    into a fresh namespace (no append or count actions)."""
     parser = argparse.ArgumentParser(
         prog="fpharmonics",
         description="Finite-field harmonic analysis batch tool")

@@ -21,6 +21,16 @@ The closed forms for G+ and Gx are the double-annihilator duality over
 Z_p and Z_{p-1}: the annihilator of { xi : xi . a == 0 } in the dual torus
 is exactly the cyclic group generated by a/p (resp. k/(p-1)).  This is
 verified at runtime by the closure / annihilation property tests.
+
+A trig polynomial is evaluated from the context's root-of-unity tables:
+each term (xi1, xi2, xi3) gathers one phase table per coordinate block,
+roots_p[A xi1 % p], roots_p[B xi2 % p] and roots_pm1[C xi3 % (p-1)], for
+numerator rows A, B, C.  Along an orbit the tables are multiplied
+entrywise; over a product of row sets, F takes the value
+(E1[i] * E2[j]) @ (c * E3^T) at every point (A[i], B[j], C), in blocks of
+about counting.ROW_BLOCK values.  The two oracles, the average over H and
+the average over H^2, are such pointwise enumerations; they never read the
+lattices, so they check the lattice formulas independently.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
-from .counting import MarginReport, T
+from .counting import ROW_BLOCK, MarginReport, T
 from .field import FieldCtx
 from .harmonic import Signal, indicator
 
@@ -293,24 +303,42 @@ def _check_trig_budget(F: TrigPoly):
         raise ValueError(f"budget exceeded: trig norm {trig_norm(F):.2f} > {TRIG_MAX_NORM}")
 
 
-def trig_eval_batch(F: TrigPoly, p: int, TH1: np.ndarray, TH2: np.ndarray,
-                    V: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on N points given numerator arrays (N, d)."""
-    q = p - 1
-    N = TH1.shape[0]
-    total = np.zeros(N, dtype=np.complex128)
-    for (x1, x2, x3), c in F.terms.items():
-        n12 = (TH1 @ np.array(x1, dtype=np.int64)
-               + TH2 @ np.array(x2, dtype=np.int64)) % p
-        n3 = (V @ np.array(x3, dtype=np.int64)) % q
-        total += c * np.exp(2j * np.pi * (n12 / p + n3 / q))
-    return total
+def _phase_tables(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
+                  C: np.ndarray) -> tuple:
+    """Per-term phase tables of F at numerator rows A, B (over p) and C
+    (over p-1), each of shape (rows, d): (E1, E2, E3, c) with
+    E1[i, j] = e(A[i] . xi1_j / p), E2 and E3 likewise from B and C, and c
+    the coefficients, for the terms j = 0..m-1 of F."""
+    p = ctx.p
+    keys = list(F.terms)
+    X1, X2, X3 = (np.array([key[b] for key in keys], dtype=np.int64)
+                  .reshape(len(keys), F.d).T for b in range(3))
+    c = np.array(list(F.terms.values()), dtype=np.complex128)
+    return (ctx.roots_p[A @ X1 % p], ctx.roots_p[B @ X2 % p],
+            ctx.roots_pm1[C @ X3 % (p - 1)], c)
+
+
+def _product_blocks(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
+                    C: np.ndarray):
+    """F at every point (A[i], B[j], C[k]) of a product of row sets.
+
+    Yields arrays of shape (b, len(C)) for consecutive pairs (i, j) in
+    row-major order, each (E1[i] * E2[j]) @ (c * E3^T), with
+    b = ROW_BLOCK // len(C) pairs per block (at least one)."""
+    E1, E2, E3, c = _phase_tables(ctx, F, A, B, C)
+    right = (c * E3).T
+    nb, n = len(B), len(A) * len(B)
+    step = max(1, ROW_BLOCK // len(C))
+    for lo in range(0, n, step):
+        ij = np.arange(lo, min(lo + step, n))
+        yield (E1[ij // nb] * E2[ij % nb]) @ right
 
 
 def compose_signal(psi: QMSystem, F: TrigPoly) -> Signal:
-    """The Signal x -> F(Psi(x))."""
-    th1, th2, v = orbit_arrays(psi)
-    return Signal(psi.ctx, trig_eval_batch(F, psi.ctx.p, th1, th2, v))
+    """The Signal x -> F(Psi(x)): the phase tables on the orbit rows,
+    multiplied along the diagonal."""
+    E1, E2, E3, c = _phase_tables(psi.ctx, F, *orbit_arrays(psi))
+    return Signal(psi.ctx, (E1 * E2 * E3) @ c)
 
 
 # -- Bohr sets, boxes, densities ---------------------------------------------
@@ -394,13 +422,22 @@ def check_pigeon_projection(factors: Sequence[int], pi, delta) -> tuple:
 
 def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     """(lhs, rhs, margin) for E_x F(Psi(x)) = sum over lattice-constrained
-    coefficients, with the rhs cross-checked by direct H enumeration."""
+    coefficients, with the rhs cross-checked by direct H enumeration.
+
+    On-lattice terms average to their coefficient exactly; each off-lattice
+    term is a single mixed character sum, at most babycount_single_mode /
+    sqrt(p) in modulus (Weil).  The margin is asserted within that bound
+    summed over the off-lattice terms."""
     _check_trig_budget(F)
     lhs = complex(np.mean(compose_signal(psi, F).values))
     lat = LatticeTests(psi)
-    rhs = sum(c for (x1, x2, x3), c in F.terms.items()
-              if lat.in_lambda_plus(x1) and lat.in_lambda_plus(x2)
-              and lat.in_lambda_times(x3))
+    rhs = off_mass = 0
+    for (x1, x2, x3), c in F.terms.items():
+        if (lat.in_lambda_plus(x1) and lat.in_lambda_plus(x2)
+                and lat.in_lambda_times(x3)):
+            rhs += c
+        else:
+            off_mass += abs(c)
     if psi.d >= 1:
         H = enumerate_H(psi)
         if H.size <= H_ENUM_BUDGET:
@@ -408,19 +445,22 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
             if abs(rhs - rhs_enum) > 1e-9:
                 raise AssertionError(
                     f"orthogonality mismatch: {rhs} vs {rhs_enum}")
-    return lhs, complex(rhs), abs(lhs - rhs)
+    margin = abs(lhs - rhs)
+    bound = AUDIT_CONSTANTS["babycount_single_mode"] / math.sqrt(psi.ctx.p) * off_mass
+    if margin > bound + 1e-9:
+        raise AssertionError(
+            f"baby count margin {margin} exceeds single-mode bound {bound}")
+    return lhs, complex(rhs), margin
 
 
 def _average_over_H(F: TrigPoly, H: HGroup) -> complex:
-    """Direct average of F over H = G+ x G+ x Gx (independent coordinates)."""
-    p = H.psi.ctx.p
-    np_, nt = len(H.gplus), len(H.gtimes)
-    it, iu, iv = np.meshgrid(np.arange(np_), np.arange(np_), np.arange(nt),
-                             indexing="ij")
-    TH1 = H.gplus[it.ravel()]
-    TH2 = H.gplus[iu.ravel()]
-    V = H.gtimes[iv.ravel()]
-    return complex(np.mean(trig_eval_batch(F, p, TH1, TH2, V)))
+    """Direct average of F over H = G+ x G+ x Gx: F is evaluated at every
+    one of the |H| points, in blocks of about ROW_BLOCK values, and the
+    values are summed.  It reads only the enumerated rows of H, never the
+    lattices, so it is an independent check of the lattice sum."""
+    gp, gt = H.gplus, H.gtimes
+    total = sum(np.sum(blk) for blk in _product_blocks(H.psi.ctx, F, gp, gp, gt))
+    return complex(total / H.size)
 
 
 def counting_integral_I(psi: QMSystem, F: TrigPoly,
@@ -462,23 +502,35 @@ def counting_integral_I(psi: QMSystem, F: TrigPoly,
 
 
 def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:
-    """Oracle: pointwise average of F(t,u,v) F(t+u',u,v') F(t',u',v) over H^2."""
+    """Oracle: pointwise average of F(t,u,v) F(t+u',u,v') F(t',u',v) over H^2.
+
+    Fa[t, u, v] holds F on H and Fb[t, u', u, v'] = F((t+u') mod p, u, v'),
+    both from the enumerated rows of H (|H| and |H|^{3/2} values at most).
+    The product Fa[t,u,v] Fb[t,u',u,v'] Fa[t',u',v] is formed at every one
+    of the |H|^2 points, in blocks of consecutive (t, u, v), each with its
+    |H| points (t', u', v'), of about ROW_BLOCK points, and summed.  Nothing
+    is factored over H and no lattice is read, so the result is independent
+    of counting_integral_I.
+    """
     H = enumerate_H(psi)
     if H.size ** 2 > H_SQUARED_BUDGET:
         raise ValueError("budget exceeded for direct enumeration")
-    p = psi.ctx.p
+    ctx = psi.ctx
     gp, gt = H.gplus, H.gtimes
-    np_, nt = len(gp), len(gt)
-    # independent coordinates: t, u, t', u' in G+; v, v' in Gx
-    idx = np.meshgrid(*(np.arange(np_),) * 4, np.arange(nt), np.arange(nt),
-                      indexing="ij")
-    it, iu, itp, iup, iv, ivp = (a.ravel() for a in idx)
-    t, u, tp, up = gp[it], gp[iu], gp[itp], gp[iup]
-    v, vp = gt[iv], gt[ivp]
-    vals = (trig_eval_batch(F, p, t, u, v)
-            * trig_eval_batch(F, p, (t + up) % p, u, vp)
-            * trig_eval_batch(F, p, tp, up, v))
-    return complex(np.mean(vals))
+    n, nt = len(gp), len(gt)
+    Fa = np.concatenate(list(_product_blocks(ctx, F, gp, gp, gt))).reshape(n, n, nt)
+    shifted = ((gp[:, None, :] + gp[None, :, :]) % ctx.p).reshape(n * n, -1)
+    Fb = np.concatenate(list(_product_blocks(ctx, F, shifted, gp, gt))).reshape(n, n, n, nt)
+    Fa_v = Fa.transpose(2, 0, 1)  # [v, t', u']
+    step = max(1, ROW_BLOCK // H.size)
+    total = 0j
+    for lo in range(0, H.size, step):
+        tuv = np.arange(lo, min(lo + step, H.size))
+        t, u, v = np.unravel_index(tuv, Fa.shape)
+        # axes [block of (t, u, v), t', u', v']
+        total += np.sum(Fa.ravel()[tuv, None, None, None]
+                        * Fb[t, :, u][:, None, :, :] * Fa_v[v][:, :, :, None])
+    return complex(total / H.size ** 2)
 
 
 def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps,

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpharmonics
+from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.field import cached_field
 from fpharmonics.qm import (GPoint, LatticeTests, QMSystem, TrigPoly,
-                            as_fraction, baby_count, bohr_set, box_fraction,
-                            check_bohr_density, check_pigeon_projection,
-                            compose_signal, counting_integral_I,
-                            counting_integral_direct, counting_lemma_check,
-                            enumerate_H, eval_system, trig_norm)
+                            _average_over_H, as_fraction, baby_count, bohr_set,
+                            box_fraction, check_bohr_density,
+                            check_pigeon_projection, compose_signal,
+                            counting_integral_I, counting_integral_direct,
+                            counting_lemma_check, enumerate_H, eval_system,
+                            orbit_arrays, trig_norm)
 
 
 def system(p, dims):
@@ -264,3 +272,116 @@ def test_compose_signal_unit_modulus():
 def test_as_fraction_rejects_non_finite(x):
     with pytest.raises(ValueError):
         as_fraction(x)
+
+
+def test_baby_count_asserts_the_single_mode_bound(monkeypatch):
+    psi = system(11, [(1, 1)])
+    F = TrigPoly(1, {((1,), (0,), (0,)): 1.0, ((0,), (0,), (0,)): 0.5})
+    baby_count(psi, F)  # |E_x e(x^2/11)| = 11^{-1/2} <= 6/sqrt(11)
+    monkeypatch.setitem(AUDIT_CONSTANTS, "babycount_single_mode", 1e-6)
+    with pytest.raises(AssertionError, match="single-mode bound"):
+        baby_count(psi, F)
+
+
+def test_cross_checks_fire_when_the_lattice_test_lies(monkeypatch):
+    monkeypatch.setattr(LatticeTests, "in_lambda_plus", lambda self, xi: True)
+    F = TrigPoly(1, {((1,), (0,), (0,)): 1.0})
+    with pytest.raises(AssertionError, match="orthogonality mismatch"):
+        baby_count(system(11, [(1, 1)]), F)
+    with pytest.raises(AssertionError, match="I\\(F\\) mismatch"):
+        counting_integral_I(system(5, [(1, 1)]), F, cross_check=True)
+
+
+# -- the meshgrid evaluation: oracle for the phase-table evaluators ----------
+
+def trig_eval_batch(F, p, TH1, TH2, V):
+    """F at N points given numerator arrays (N, d), one np.exp per term."""
+    q = p - 1
+    total = np.zeros(TH1.shape[0], dtype=np.complex128)
+    for (x1, x2, x3), c in F.terms.items():
+        n12 = (TH1 @ np.array(x1, dtype=np.int64)
+               + TH2 @ np.array(x2, dtype=np.int64)) % p
+        n3 = (V @ np.array(x3, dtype=np.int64)) % q
+        total += c * np.exp(2j * np.pi * (n12 / p + n3 / q))
+    return total
+
+
+def average_over_H_meshgrid(F, H):
+    p = H.psi.ctx.p
+    it, iu, iv = (a.ravel() for a in np.meshgrid(
+        np.arange(len(H.gplus)), np.arange(len(H.gplus)),
+        np.arange(len(H.gtimes)), indexing="ij"))
+    return np.mean(trig_eval_batch(F, p, H.gplus[it], H.gplus[iu], H.gtimes[iv]))
+
+
+def counting_integral_meshgrid(psi, F):
+    H = enumerate_H(psi)
+    p = psi.ctx.p
+    gp, gt = H.gplus, H.gtimes
+    n, nt = len(gp), len(gt)
+    it, iu, itp, iup, iv, ivp = (a.ravel() for a in np.meshgrid(
+        *(np.arange(n),) * 4, np.arange(nt), np.arange(nt), indexing="ij"))
+    t, u, tp, up, v, vp = gp[it], gp[iu], gp[itp], gp[iup], gt[iv], gt[ivp]
+    return np.mean(trig_eval_batch(F, p, t, u, v)
+                   * trig_eval_batch(F, p, (t + up) % p, u, vp)
+                   * trig_eval_batch(F, p, tp, up, v))
+
+
+def oracle_systems(p, d, rng):
+    """Four random systems from full orbits to small ones: every other one
+    has a = 0 (|G+| = 1), and each k is a multiple of a random divisor of
+    p - 1, so |Gx| varies too."""
+    divisors = [m for m in range(1, p) if (p - 1) % m == 0]
+    for j in range(4):
+        m = int(rng.choice(divisors))
+        yield system(p, [(0 if j % 2 else int(rng.integers(1, p)),
+                          m * int(rng.integers(0, (p - 1) // m))) for _ in range(d)])
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 31))
+def test_phase_table_evaluators_match_meshgrid_oracle(p, d, rng):
+    # the carrier's I(F) holds the triple A = e(-t), B = e(t), C = e(-u):
+    # B's phase at t + u' survives the average only through u', so a wrong
+    # shift index changes I(F) whenever a_1 != 0
+    z, e1 = (0,) * d, (1,) + (0,) * (d - 1)
+    minus = tuple(-x for x in e1)
+    carrier = TrigPoly(d, {(minus, z, z): 1.0, (e1, z, z): 0.7, (z, minus, z): 0.5j})
+    checked = {"H": 0, "H2": 0}
+    for psi in oracle_systems(p, d, rng):
+        H = enumerate_H(psi)
+        for F in (TrigPoly.random(d, rng, n_terms=4, max_freq=2), carrier):
+            oracle = trig_eval_batch(F, p, *orbit_arrays(psi))
+            assert np.max(np.abs(compose_signal(psi, F).values - oracle)) < 1e-12
+            if H.size <= 3 * 10**4:
+                assert abs(_average_over_H(F, H) - average_over_H_meshgrid(F, H)) < 1e-12
+                checked["H"] += 1
+            if H.size**2 <= 10**5:
+                assert abs(counting_integral_direct(psi, F)
+                           - counting_integral_meshgrid(psi, F)) < 1e-12
+                checked["H2"] += 1
+    assert checked["H"] >= 4 and checked["H2"] >= 4, checked
+
+
+@pytest.mark.parametrize("call, p, limit_mb", [("baby_count", 211, 50),
+                                                ("counting_integral_direct", 11, 20)])
+def test_H_enumerations_hold_bounded_memory(call, p, limit_mb):
+    # |H| = 211^2 * 210 = 9.35e6 points for baby_count; |H|^2 = 1.46e6 at p = 11
+    script = textwrap.dedent(f"""
+        import resource
+        import numpy as np
+        from fpharmonics.field import cached_field
+        from fpharmonics.qm import QMSystem, TrigPoly, {call}
+        F = TrigPoly.random(1, np.random.default_rng(0))
+        {call}(QMSystem(cached_field(5), [(1, 1)]), F)
+        psi = QMSystem(cached_field({p}), [(1, 1)])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        {call}(psi, F)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    src = Path(fpharmonics.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown_mb = int(proc.stdout) / (1024**2 if sys.platform == "darwin" else 1024)
+    assert grown_mb <= limit_mb
