@@ -10,13 +10,27 @@ which counts configurations (t1, u), (t2, u), (t3, t2-t1) inside a set
 of pairs A, together with the defect-maximizing dependent random choice
 step that drives the rich-color induction with thresholds
 eps_r = 2^(1-7r) / (r!)^3.
+
+The arithmetic runs on integer group codes.  An element (e_1, ..., e_m)
+of Z_{n_1} x ... x Z_{n_m} has the mixed-radix code
+sum_i e_i n_{i+1} ... n_m, its index in FiniteGroup.elements().  T - T
+is one n x n code matrix built with numpy; its distinct codes number the
+columns of the difference set, N(u) is a bincount over it, and a set of
+pairs A becomes a boolean (position in T) x (column) mask.  The
+pair-degree tables of Lambda_T and the densities delta_T are int64 array
+algebra on these (integer products only, so no BLAS), and a PairColoring
+builds its masks once.  The direct count `_lambda_direct`, the oracle
+for the tables, reads none of this: it tests membership in A at the
+differences FiniteGroup.sub returns, at every point of T^5.  Dependent
+random choice runs on Python ints: weights scaled by their common
+denominators, neighbourhoods as bitmasks, each threshold floored once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +40,11 @@ Element = tuple  # residue tuple, one entry per cyclic factor
 Pair = tuple     # (t, u) with t, u elements
 
 DIRECT_BUDGET = 10**9
+DIRECT_BLOCK = 2**18  # points of T^5 that _lambda_direct tests per block
+# extremal_coloring(r) colors 4^r pairs: one `ramsey --r` report took at
+# most 2.7 s and 118 MB at r = 9 and 11-16 s and 370 MB at r = 10 on
+# 2 vCPUs (BENCH_8.json), so r stops at 9 to hold a 5 s / 200 MB budget
+EXTREMAL_MAX_R = 9
 
 
 def eps_r(r: int) -> Fraction:
@@ -64,6 +83,33 @@ class FiniteGroup:
     def zero(self) -> Element:
         return tuple(0 for _ in self.factors)
 
+    def difference_codes(self, T: Sequence[Element]) -> np.ndarray:
+        """C[i, j] = the code of T[i] - T[j], an n x n int64 matrix.
+
+        Raises ValueError unless T is nonempty and holds distinct elements
+        (e_1, ..., e_m) with integers 0 <= e_i < n_i."""
+        if not T:
+            raise ValueError("T must be nonempty")
+        if self.order > 2**62:
+            raise ValueError(f"group order {self.order} exceeds the int64 codes")
+        m = len(self.factors)
+        for t in T:
+            if len(t) != m or not all(isinstance(e, (int, np.integer)) and 0 <= e < n
+                                      for e, n in zip(t, self.factors)):
+                raise ValueError(f"{t!r} is not an element of Z_{self.factors} "
+                                 "(need integers 0 <= e_i < n_i)")
+        if len(set(T)) < len(T):
+            raise ValueError("T has repeated elements")
+        digits = np.array(T, dtype=np.int64).reshape(len(T), m)
+        radix = np.array(self.factors, dtype=np.int64)
+        place = np.array([math.prod(self.factors[i + 1:]) for i in range(m)],
+                         dtype=np.int64)
+        return ((digits[:, None, :] - digits[None, :, :]) % radix) @ place
+
+    def decode(self, codes: np.ndarray) -> list:
+        """The elements with the given codes, as tuples of ints."""
+        return list(zip(*(d.tolist() for d in np.unravel_index(codes, self.factors))))
+
 
 def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup((n,))
@@ -73,15 +119,39 @@ def boolean_cube(r: int) -> FiniteGroup:
     return FiniteGroup((2,) * r)
 
 
-def difference_multiset(group: FiniteGroup, T: Sequence[Element]) -> dict:
-    """Counts N(u) = #{(t4, t5) in T^2 : t4 - t5 = u}; the weighted
-    multiset realizing mu_T * mu_{-T} up to the |T|^2 denominator."""
-    N: dict = {}
-    for t4 in T:
-        for t5 in T:
-            u = group.sub(t4, t5)
-            N[u] = N.get(u, 0) + 1
-    return N
+class _Differences:
+    """T, its difference set T - T and the counts
+    N(u) = #{(t4, t5) in T^2 : t4 - t5 = u}, on integer codes.
+
+    Column k stands for the k-th distinct difference in the order a
+    row-major scan of (t4, t5) first meets it: the order in which the
+    rich-color step hands T - T to dependent random choice, whose ties go
+    to the first y."""
+
+    def __init__(self, group: FiniteGroup, T: Sequence[Element]):
+        codes = group.difference_codes(T).ravel().tolist()
+        column = {c: k for k, c in enumerate(dict.fromkeys(codes))}
+        n = len(T)
+        # D[i, j] = the column of T[i] - T[j]
+        self.D = np.array([column[c] for c in codes]).reshape(n, n)
+        self.N = np.bincount(self.D.ravel(), minlength=len(column))
+        self.diffs = group.decode(np.array(list(column), dtype=np.int64))
+        self.pos = {t: i for i, t in enumerate(T)}
+        self.col = {u: k for k, u in enumerate(self.diffs)}
+
+    def mask(self, A: Iterable[Pair]) -> np.ndarray:
+        """M[i, k] = 1_A(T[i], diffs[k]); pairs outside T x (T - T) drop out."""
+        pos, col = self.pos, self.col
+        M = np.zeros((len(pos), len(col)), dtype=bool)
+        cells = [(pos[t], col[u]) for t, u in A if t in pos and u in col]
+        if cells:
+            rows, cols = zip(*cells)
+            M[list(rows), list(cols)] = True
+        return M
+
+    def density(self, M: np.ndarray) -> Fraction:
+        """delta_T = #{(t, t1, t2) in T^3 : M at (t, t1 - t2)} / |T|^3."""
+        return Fraction(int(M.sum(axis=0) @ self.N), len(self.pos) ** 3)
 
 
 def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
@@ -94,13 +164,11 @@ def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
 
     method: "tables" (the pair-degree factorization) or "direct" (the
     defining quintuple sum, the oracle, for |T|^5 <= 10^9 and
-    distinct=False only).
+    distinct=False only).  T must hold distinct group elements.
     """
     T = list(T)
-    A = set(A)
+    index = _Differences(group, T)
     n = len(T)
-    if n == 0:
-        raise ValueError("T must be nonempty")
     if method == "direct":
         if n**5 > DIRECT_BUDGET:
             raise ValueError(
@@ -108,60 +176,70 @@ def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
                 "use the pair-degree tables")
         if distinct:
             raise ValueError("distinct counting is only provided via tables")
-        num = _lambda_direct(group, T, A)
+        num = _lambda_direct(group, T, set(A))
     elif method == "tables":
-        num = _lambda_tables(group, T, A, distinct)
+        num = _lambda_tables(index, index.mask(A), distinct)
     else:
         raise ValueError(f"unknown method {method!r}")
     return Fraction(num, n**5)
 
 
 def _lambda_direct(group: FiniteGroup, T: list, A: set) -> int:
-    """The defining quintuple sum, enumerated without factorization tricks
-    (as an exact-integer tensor contraction over all of T^5)."""
+    """The defining quintuple sum: the number of points of T^5 at which
+    E[t1, t4, t5] & E[t2, t4, t5] & E[t3, t2, t1] holds, where
+    E[a, i, j] = 1_A(T[a], T[i] - T[j]).
+
+    This is the oracle for the tables, so it stays independent of them:
+    E comes from group.sub and membership in A alone, with no codes, N(u)
+    or degree tables.  Every point is tested, in blocks of about
+    DIRECT_BLOCK points (runs of (t1, t2) with all of t3, t4, t5), and no
+    sum is reordered or factored."""
     n = len(T)
-    # E[a, i, j] = 1_A(T[a], T[i] - T[j]);  F[c, b, a] = 1_A(T[c], T[b] - T[a])
-    E = np.zeros((n, n, n), dtype=np.int64)
-    for i, t4 in enumerate(T):
-        for j, t5 in enumerate(T):
+    members: dict = {}  # u -> [1_A(t, u) for t in T]
+    rows = []
+    for t4 in T:
+        row = []
+        for t5 in T:
             u = group.sub(t4, t5)
-            for a, t in enumerate(T):
-                if (t, u) in A:
-                    E[a, i, j] = 1
-    return int(np.einsum("aij,bij,cba->", E, E, E, dtype=np.int64))
+            if u not in members:
+                members[u] = [(t, u) in A for t in T]
+            row.append(members[u])
+        rows.append(row)
+    E = np.ascontiguousarray(np.array(rows, dtype=bool).transpose(2, 0, 1))
+    first, second = np.divmod(np.arange(n * n), n)
+    step = max(1, DIRECT_BLOCK // n**3)
+    count = 0
+    for s in range(0, n * n, step):
+        t1, t2 = first[s:s + step], second[s:s + step]
+        both = E[t1] & E[t2]   # both[k, t4, t5]
+        third = E[:, t2, t1].T  # third[k, t3] = E[t3, t2, t1]
+        count += int(np.count_nonzero(both[:, None] & third[:, :, None, None]))
+    return count
 
 
-def _lambda_tables(group: FiniteGroup, T: list, A: set, distinct: bool) -> int:
-    """Pair-degree factorization: sum over u of N(u) times the number of
-    (t1, t2) pairs in the u-column of A, each weighted by the degree
-    D_A(t2 - t1) of the third coordinate."""
-    N = difference_multiset(group, T)
-    Tset = set(T)
-    D: dict = {}
-    S: dict = {}
-    for t, u in A:
-        if t in Tset:
-            D[u] = D.get(u, 0) + 1
-            S.setdefault(u, []).append(t)
-    num = 0
-    for u, weight in N.items():
-        col = S.get(u, ())
-        if not col:
-            continue
-        block = 0
-        for t1 in col:
-            for t2 in col:
-                if distinct and t1 == t2:
-                    continue
-                v = group.sub(t2, t1)
-                block += D.get(v, 0)
-                if distinct and v == u:
-                    # exclude t3 = t1 and t3 = t2: both pairs (t_i, v)
-                    # lie in A when v = u, and they collide with the
-                    # first two points of the configuration
-                    block -= 2
-        num += weight * block
-    return num
+def _lambda_tables(index: _Differences, M: np.ndarray, distinct: bool) -> int:
+    """Pair-degree factorization of the numerator of Lambda_T: the sum over
+    u of N(u) times the number of (t1, t2) pairs in the u-column of A, each
+    weighted by the degree deg(t2 - t1) = #{t3 : (t3, t2 - t1) in A}.
+
+    With M the T x (T - T) mask of A this is the sum of W * V over T x T,
+    where W = M diag(N) M^T and V[a, b] = deg(T[b] - T[a]): integer array
+    algebra (no BLAS), over only the rows and columns that A touches.
+    distinct drops t1 = t2 and, where T[b] - T[a] = u, the two choices
+    t3 in {t1, t2} whose (t3, u) repeats a point."""
+    deg = M.sum(axis=0)
+    rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(deg)
+    Mr = M[rows]
+    W = np.einsum("ik,jk->ij", Mr[:, cols] * index.N[cols], Mr[:, cols])
+    C = index.D.T[np.ix_(rows, rows)]  # C[a, b] = column of T[b] - T[a]
+    num = W * deg[C]
+    if distinct:
+        np.fill_diagonal(num, 0)
+        k = np.arange(len(rows))
+        repeat = Mr[k[:, None], C] & Mr[k[None, :], C]
+        np.fill_diagonal(repeat, False)
+        num -= 2 * index.N[C] * repeat
+    return sum(num.sum(axis=1).tolist())
 
 
 @dataclass(frozen=True)
@@ -169,56 +247,65 @@ class PairColoring:
     """Partial coloring of T x (T - T) with an explicit uncolored set.
 
     classes[i] is the set of pairs with color i; the uncolored set E is
-    the remainder of the domain T x (T - T).
+    the remainder of the domain T x (T - T).  T must hold distinct group
+    elements.  The difference tables and one mask per class are built
+    once, at construction.
     """
 
     group: FiniteGroup
     T: tuple
     classes: tuple  # tuple of frozensets of pairs
+    _index: _Differences = field(init=False, compare=False, repr=False)
+    _masks: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "T", tuple(self.T))
         object.__setattr__(
             self, "classes", tuple(frozenset(c) for c in self.classes))
-        dom = self.domain()
-        seen: set = set()
+        index = _Differences(self.group, self.T)
+        masks = np.zeros((self.r, len(self.T), len(index.diffs)), dtype=bool)
         for i, cls in enumerate(self.classes):
-            extra = cls - dom
-            if extra:
+            masks[i] = index.mask(cls)
+            if masks[i].sum() < len(cls):
                 raise ValueError(f"class {i} contains pairs outside T x (T-T)")
-            overlap = cls & seen
-            if overlap:
+            if (masks[:i] & masks[i]).any():
                 raise ValueError(f"class {i} overlaps an earlier class")
-            seen |= cls
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def r(self) -> int:
         return len(self.classes)
 
     def domain(self) -> frozenset:
-        diffs = set(difference_multiset(self.group, self.T))
-        return frozenset((t, u) for t in self.T for u in diffs)
+        return frozenset((t, u) for t in self.T for u in self._index.diffs)
 
     def uncolored(self) -> frozenset:
-        dom = set(self.domain())
-        for cls in self.classes:
-            dom -= cls
-        return frozenset(dom)
+        rows, cols = np.nonzero(~self._masks.any(axis=0))
+        diffs = self._index.diffs
+        return frozenset((self.T[a], diffs[k])
+                         for a, k in zip(rows.tolist(), cols.tolist()))
 
     def delta(self, A: Iterable[Pair]) -> Fraction:
         """delta_T(A) = #{(t, t1, t2) in T^3 : (t, t1-t2) in A} / |T|^3."""
-        A = set(A)
-        N = difference_multiset(self.group, self.T)
-        num = 0
-        for u, weight in N.items():
-            for t in self.T:
-                if (t, u) in A:
-                    num += weight
-        return Fraction(num, len(self.T) ** 3)
+        return self._index.density(self._index.mask(A))
 
     def lam(self, color: int, distinct: bool = False) -> Fraction:
-        return lambda_T(self.group, self.T, self.classes[color],
-                        distinct=distinct)
+        return Fraction(_lambda_tables(self._index, self._masks[color], distinct),
+                        len(self.T) ** 5)
+
+    def _restrict(self, T: tuple) -> "PairColoring":
+        """The coloring of T x (T - T), for T inside self.T, read off the
+        class masks."""
+        sub = _Differences(self.group, T)
+        rows = [self._index.pos[t] for t in T]
+        cols = [self._index.col[u] for u in sub.diffs]
+        classes = []
+        for mask in self._masks[:, rows][:, :, cols]:
+            a, k = np.nonzero(mask)
+            classes.append(frozenset((T[i], sub.diffs[j])
+                                     for i, j in zip(a.tolist(), k.tolist())))
+        return PairColoring(self.group, T, tuple(classes))
 
     def to_json(self) -> dict:
         return {
@@ -230,10 +317,13 @@ class PairColoring:
 
     @staticmethod
     def from_json(obj: Mapping) -> "PairColoring":
-        group = FiniteGroup(tuple(obj["group"]))
-        T = tuple(tuple(t) for t in obj["T"])
-        classes = [frozenset((tuple(t), tuple(u)) for t, u in cls)
-                   for cls in obj["classes"]]
+        try:
+            group = FiniteGroup(tuple(obj["group"]))
+            T = tuple(tuple(t) for t in obj["T"])
+            classes = [frozenset((tuple(t), tuple(u)) for t, u in cls)
+                       for cls in obj["classes"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pair coloring: {exc!r}") from exc
         return PairColoring(group, T, classes)
 
 
@@ -246,8 +336,9 @@ def extremal_coloring(r: int) -> PairColoring:
     the same with t_i = 1.  Verified here: the classes partition G x G,
     Lambda(class i) = 0 exactly for i >= 1, and Lambda(class 0) = 4^-r.
     """
-    if not 1 <= r <= 10:
-        raise ValueError("need 1 <= r <= 10")
+    if not 1 <= r <= EXTREMAL_MAX_R:
+        raise ValueError(f"need 1 <= r <= {EXTREMAL_MAX_R}: larger r breaks the "
+                         "5 s / 200 MB budget of one ramsey report")
     group = boolean_cube(r)
     G = group.elements()
     zero = group.zero
@@ -288,19 +379,45 @@ class DRCResult:
     bad_measure_inside: Fraction
 
 
+def _scaled(nu: dict) -> tuple:
+    """(L, weights, groups): nu = weights / L over the common denominator L,
+    and groups pairs each weight value with the bitmask of its indices."""
+    L = math.lcm(*(w.denominator for w in nu.values()))
+    weights = [w.numerator * (L // w.denominator) for w in nu.values()]
+    groups: dict = {}
+    for i, w in enumerate(weights):
+        groups[w] = groups.get(w, 0) | 1 << i
+    return L, weights, list(groups.items())
+
+
+def _weigh(mask: int, groups: list) -> int:
+    """The total integer weight of the indices set in mask."""
+    return sum(w * (mask & g).bit_count() for w, g in groups)
+
+
+def _bits(mask: int):
+    """The indices set in mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
                             eta) -> DRCResult:
     """Defect-maximizing common neighbourhood, with exact verification.
 
     nu_x and nu_y map points to Fraction weights summing to 1; A is a set
-    of (x, y) pairs.  Returns X' = N_X(y*) for the y* maximizing
+    of (x, y) pairs.  Returns X' = N_X(y*) for the first y* maximizing
 
       sum_{x1, x2 in N_X(y)} (1 - 1_E(x1,x2)/eta) nu_x(x1) nu_x(x2),
 
     where E is the set of pairs (x1, x2) whose common neighbourhood in Y
     has measure <= eta * alpha^2 / 2.  Both conclusions are asserted
     exactly: nu_x(X') >= alpha/2 and nu_x x nu_x (E inside X'^2)
-    <= eta * nu_x(X')^2.
+    <= eta * nu_x(X')^2.  The loops run on Python ints: weights scaled by
+    their common denominators, neighbourhoods as bitmasks, and the
+    threshold floored once.
     """
     eta = Fraction(eta)
     if not 0 < eta <= 1:
@@ -309,53 +426,54 @@ def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
     nu_y = {y: Fraction(w) for y, w in nu_y.items() if w != 0}
     if sum(nu_x.values()) != 1 or sum(nu_y.values()) != 1:
         raise ValueError("weights must sum to 1 exactly")
-    A = {(x, y) for x, y in A if x in nu_x and y in nu_y}
-    alpha = sum(nu_x[x] * nu_y[y] for x, y in A)
-    if alpha == 0:
-        raise ValueError("A must have positive measure")
-
-    ny: dict = {}  # x -> set of neighbours in Y
-    nx: dict = {}  # y -> set of neighbours in X
+    xs, ys = list(nu_x), list(nu_y)
+    Lx, wx, x_groups = _scaled(nu_x)
+    Ly, _, y_groups = _scaled(nu_y)
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
+    ny = [0] * len(xs)  # ny[i]: bitmask of the neighbours in Y of xs[i]
+    nx = [0] * len(ys)  # nx[j]: bitmask of the neighbours in X of ys[j]
     for x, y in A:
-        ny.setdefault(x, set()).add(y)
-        nx.setdefault(y, set()).add(x)
+        if x in xi and y in yi:
+            ny[xi[x]] |= 1 << yi[y]
+            nx[yi[y]] |= 1 << xi[x]
+    a = sum(w * _weigh(m, y_groups) for w, m in zip(wx, ny))
+    if a == 0:
+        raise ValueError("A must have positive measure")
+    alpha = Fraction(a, Lx * Ly)
 
-    xs = list(nu_x)
-    threshold = eta * alpha * alpha / 2
-    bad = set()
-    for i, x1 in enumerate(xs):
-        n1 = ny.get(x1, set())
-        for x2 in xs[i:]:
-            common = sum(nu_y[y] for y in n1 & ny.get(x2, set()))
-            if common <= threshold:
-                bad.add((x1, x2))
-                bad.add((x2, x1))
+    # common measure c / Ly <= eta * alpha^2 / 2, with c an integer
+    bound = eta.numerator * a * a // (2 * eta.denominator * Lx * Lx * Ly)
+    bad = [0] * len(xs)
+    for i, m in enumerate(ny):
+        for j in range(i, len(xs)):
+            if _weigh(m & ny[j], y_groups) <= bound:
+                bad[i] |= 1 << j
+                bad[j] |= 1 << i
 
-    best_y, best_defect = None, None
-    for y in nu_y:
-        nbhd = nx.get(y, set())
-        defect = Fraction(0)
-        for x1 in nbhd:
-            for x2 in nbhd:
-                w = nu_x[x1] * nu_x[x2]
-                defect += w
-                if (x1, x2) in bad:
-                    defect -= w / eta
+    # the defect of y times p Lx^2, for eta = p/q: p S^2 - q B, where
+    # S = Lx nu_x(N_X(y)) and B = Lx^2 (nu_x x nu_x)(E inside N_X(y)^2)
+    best = best_defect = None
+    for j, m in enumerate(nx):
+        S = _weigh(m, x_groups)
+        B = sum(wx[i] * _weigh(m & bad[i], x_groups) for i in _bits(m))
+        defect = eta.numerator * S * S - eta.denominator * B
         if best_defect is None or defect > best_defect:
-            best_y, best_defect = y, defect
+            best, best_defect, S_best, B_best = j, defect, S, B
 
-    x_prime = frozenset(nx.get(best_y, set()))
-    measure = sum(nu_x[x] for x in x_prime)
-    if 2 * measure < alpha:
+    x_prime = frozenset(xs[i] for i in _bits(nx[best]))
+    measure = Fraction(S_best, Lx)
+    if 2 * S_best * Ly < a:
         raise AssertionError(f"nu_x(X') = {measure} < alpha/2 = {alpha / 2}")
-    bad_inside = sum((nu_x[x1] * nu_x[x2] for x1 in x_prime for x2 in x_prime
-                      if (x1, x2) in bad), Fraction(0))
-    if bad_inside > eta * measure * measure:
+    bad_inside = Fraction(B_best, Lx * Lx)
+    if eta.denominator * B_best > eta.numerator * S_best * S_best:
         raise AssertionError(
             f"bad-pair mass {bad_inside} > eta * nu_x(X')^2 "
             f"= {eta * measure * measure}")
-    return DRCResult(x_prime, best_y, alpha, eta, frozenset(bad),
-                     measure, bad_inside)
+    bad_pairs = frozenset((xs[i], xs[j]) for i, m in enumerate(bad)
+                          for j in _bits(m))
+    return DRCResult(x_prime, ys[best], alpha, eta, bad_pairs, measure,
+                     bad_inside)
 
 
 def find_rich_color(col: PairColoring, mode: str = "oracle") -> tuple:
@@ -373,7 +491,7 @@ def find_rich_color(col: PairColoring, mode: str = "oracle") -> tuple:
     if r == 0:
         raise ValueError("no 0-colorings of a nonempty domain")
     threshold = eps_r(r)
-    defect = col.delta(col.uncolored())
+    defect = col._index.density(~col._masks.any(axis=0))
     if defect > threshold:
         raise ValueError(f"uncolored density {defect} exceeds eps_{r} = {threshold}")
 
@@ -395,7 +513,8 @@ def find_rich_color(col: PairColoring, mode: str = "oracle") -> tuple:
 def _rich_color_recursive(col: PairColoring, colors: list):
     """One step of the induction; returns an original color index."""
     r = len(colors)
-    densities = [(col.delta(col.classes[i]), i) for i in colors]
+    index = col._index
+    densities = [(index.density(col._masks[i]), i) for i in colors]
     dens, i_star = max(densities)
     if 2 * r * dens < 1:
         # pigeonhole cannot fail when the uncolored defect is small; this
@@ -406,24 +525,13 @@ def _rich_color_recursive(col: PairColoring, colors: list):
     eta = eps_r(r - 1) / 4
     n = len(col.T)
     nu_x = {t: Fraction(1, n) for t in col.T}
-    N = difference_multiset(col.group, col.T)
-    nu_y = {u: Fraction(w, n * n) for u, w in N.items()}
+    nu_y = {u: Fraction(w, n * n) for u, w in zip(index.diffs, index.N.tolist())}
     drc = dependent_random_choice(nu_x, nu_y, col.classes[i_star], eta)
-    t_prime = tuple(sorted(drc.x_prime))
-    restricted = PairColoring(
-        col.group, t_prime,
-        tuple(_restrict(col.group, t_prime, col.classes[i])
-              for i in range(col.r)))
-    if 2 * restricted.delta(col.classes[i_star]) >= eps_r(r - 1):
+    restricted = col._restrict(tuple(sorted(drc.x_prime)))
+    if 2 * restricted._index.density(restricted._masks[i_star]) >= eps_r(r - 1):
         return i_star
     remaining = [i for i in colors if i != i_star]
     return _rich_color_recursive(restricted, remaining)
-
-
-def _restrict(group: FiniteGroup, T: tuple, cls: frozenset) -> frozenset:
-    diffs = set(difference_multiset(group, T))
-    tset = set(T)
-    return frozenset((t, u) for t, u in cls if t in tset and u in diffs)
 
 
 def grid_triple_search(coloring: np.ndarray, N: int | None = None):

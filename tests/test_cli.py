@@ -133,6 +133,29 @@ def test_census_with_coloring_file(tmp_path, capsys):
     assert report["total"] == 10
 
 
+def _total_pair_coloring(T, n=7):
+    """One class coloring all of T x (T - T) in Z_n, as the CLI reads it."""
+    diffs = sorted({(a - b) % n for a in T for b in T})
+    return {"group": [n], "T": [[t] for t in T],
+            "classes": [[[[t], [u]] for t in sorted(set(T)) for u in diffs]]}
+
+
+@pytest.mark.parametrize("coloring, message", [
+    # with a repeated t accepted, this total coloring would pass (exit 0)
+    (_total_pair_coloring([0, 1, 1, 3]), "repeated"),
+    (_total_pair_coloring([0, 9]), "not an element"),
+    ({"group": [7], "T": [[0.5]], "classes": [[]]}, "not an element"),
+    ({"group": [7], "T": [[0]]}, "malformed"),
+    ({"group": [7], "T": [[0]], "classes": [[[[0], 1]]]}, "malformed"),
+    ([1], "malformed"),
+], ids=("repeated", "out-of-range", "non-integer", "no-classes", "bad-pair", "not-a-dict"))
+def test_ramsey_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys):
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(coloring))
+    assert main(["ramsey", "--coloring", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_assertion_failure_exits_one(capsys):
     # decomposition at p=13 with a tight eps cannot meet its residual claim
     assert main(["decompose", "--p", "13", "--eps", "0.2", "--seed", "0"]) == 1
@@ -147,6 +170,7 @@ def test_assertion_failure_exits_one(capsys):
     ["bohr", "--d", "-1"],
     ["bohr", "--eps", "inf"],
     ["decompose", "--eps", "0"],
+    ["ramsey", "--r", "10"],
 ], ids=lambda a: " ".join(a))
 def test_usage_error_exits_two(argv, capsys):
     assert main(argv) == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,33 @@ def test_detector_sees_module_and_local_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- the functions perfbench times by name ----------------------------------------
+
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_timed_names_resolve():
+    # the traced run wraps these by (module, name): a renamed function would
+    # read as a zero time instead of failing
+    targets = set(_perfbench_module("tracing").PRIVATE_TARGETS)
+    for keys in _perfbench_module("metrics").MEAN_SELF_MS.values():
+        targets |= set(keys)
+    assert ("ramsey", "_lambda_direct") in targets
+    for layer, name in sorted(targets):
+        module = importlib.import_module(f"fpharmonics.{layer}")
+        if (layer, name) == ("field", "grid"):
+            assert inspect.isfunction(module.FieldCtx.grid)
+            continue
+        obj = getattr(module, name, None)
+        assert inspect.isfunction(obj) or hasattr(obj, "cache_info"), (layer, name)
+        assert obj.__module__ == module.__name__, (layer, name)
