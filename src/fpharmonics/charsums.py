@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
+from .counting import MarginReport
 from .field import FieldCtx, MultChar, mult_char_values, quad_phase_values
 from .harmonic import difference_spectrum
 
@@ -37,13 +38,12 @@ def gauss_sum(ctx: FieldCtx, a: int, b: int) -> complex:
 
 
 def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
-                     shifts: Sequence[int], distinct: bool = True) -> tuple:
-    """(sum_x prod_i chi_i(x + h_i), bound (t-1) sqrt(p) + t).
+                     shifts: Sequence[int]) -> tuple:
+    """(sum_x prod_i chi_i(x + h_i), bound (t-1) sqrt(p) + t), the bound
+    asserted.
 
-    Requires t < p and at least one nonprincipal chi.  With distinct=True
-    (the bound's hypothesis) the shifts must be pairwise distinct and the
-    bound is asserted; with distinct=False repeated shifts are allowed and
-    the bound is only reported.  The +t term absorbs the chi(0) = 1
+    Requires t < p, pairwise distinct shifts and at least one nonprincipal
+    chi (the bound's hypotheses).  The +t term absorbs the chi(0) = 1
     convention defect.
     """
     p = ctx.p
@@ -53,7 +53,7 @@ def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
     if t >= p:
         raise ValueError("need t < p")
     hs = [h % p for h in shifts]
-    if distinct and len(set(hs)) != t:
+    if len(set(hs)) != t:
         raise ValueError("shifts must be distinct")
     if all(chi.is_principal() for chi in chis):
         raise ValueError("at least one chi must be nonprincipal")
@@ -63,8 +63,7 @@ def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
         prod *= mult_char_values(ctx, chi)[(x + h) % p]
     s = complex(np.sum(prod))
     bound = (t - 1) * math.sqrt(p) + t
-    if distinct and abs(s) > bound + 1e-9:
-        raise AssertionError(f"Weil bound violated: |{abs(s)}| > {bound}")
+    MarginReport.check("Weil bound", abs(s), bound, sum=s)
     return s, bound
 
 
@@ -92,14 +91,9 @@ def mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar, chi_prime: MultChar,
 def check_mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar,
                     chi_prime: MultChar, h: int):
     """mixed_sum plus the audited-budget assertion."""
-    from .counting import MarginReport
     s, mag = mixed_sum(ctx, a, b, chi, chi_prime, h)
     c = AUDIT_CONSTANTS["mixed_sum_c"]
-    rhs = c * ctx.p ** (-1 / 16)
-    rep = MarginReport("mixed_sum", mag, rhs, {"sum": s, "c": c})
-    if not rep.ok():
-        raise AssertionError(f"mixed sum magnitude {mag} over budget {rhs}")
-    return rep
+    return MarginReport.check("mixed_sum", mag, c * ctx.p ** (-1 / 16), sum=s, c=c)
 
 
 def u3_box_sum(ctx: FieldCtx, chi: MultChar, chi_prime: MultChar, h: int) -> float:
@@ -122,6 +116,5 @@ def u3_box_sum(ctx: FieldCtx, chi: MultChar, chi_prime: MultChar, h: int) -> flo
     val = float(np.mean(np.sum(difference_spectrum(base) ** 2, axis=1)))
     budget = (AUDIT_CONSTANTS["u3box_weil"] / math.sqrt(p)
               + AUDIT_CONSTANTS["u3box_degenerate"] / p)
-    if val > budget + 1e-9:
-        raise AssertionError(f"u3 box sum {val} over budget {budget}")
+    MarginReport.check("u3 box sum", val, budget)
     return val

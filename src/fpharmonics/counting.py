@@ -9,9 +9,20 @@ T, T_tilde and the censuses walk the pair table (x, y) in blocks of about
 ROW_BLOCK entries: they run at any table prime in O(p^2) time and hold
 no p x p array.
 
-The check_* operations are two-sided margin audits: they return the left
-and right side of each inequality plus the slack, so that implicit O(.)
-constants become measurable instead of assumed.
+Audit policy.  Every floating-point bound and cross-check of the
+mathematics goes through MarginReport.check(name, lhs, rhs, **details): it
+records lhs <= rhs with slack = rhs - lhs, raises AssertionError naming the
+check, both sides and the details when slack < -TOL, and otherwise returns
+the report, so that implicit O(.) constants become measurable instead of
+assumed.  A two-sided agreement |a - b| <= TOL is the report with
+lhs = |a - b| and rhs = 0.  It covers the von Neumann-type bounds here
+(check_*), the Weil, mixed-sum and box-sum budgets (charsums), the baby
+count, the counting integral and the counting lemma (qm), and the
+decomposition, correlation and energy-increment conclusions (regularity).
+Exact checks on ints and Fractions (the Bohr and pigeonhole floors,
+Ramsey, search) stay exact, with no tolerance; gauss_sum's modulus check
+and the CLI's identity checks keep their own thresholds, and the CLI's
+1e-9 checks read TOL.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .harmonic import (Signal, add_transform, difference_spectrum, indicator, no
 
 
 ROW_BLOCK = 1 << 16  # entries in one block of the pair table
+TOL = 1e-9  # the one float tolerance of every audit
 
 
 def _row_blocks(ctx: FieldCtx, v_add: np.ndarray, v_mul: np.ndarray):
@@ -241,7 +253,7 @@ def census_triples(ctx: FieldCtx, A, kind: str = "shkredov") -> int:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Result of a two-sided inequality audit: lhs <= rhs with slack = rhs - lhs."""
+    """Result of an inequality audit: lhs <= rhs with slack = rhs - lhs."""
 
     name: str
     lhs: float
@@ -252,8 +264,17 @@ class MarginReport:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
+    def ok(self) -> bool:
+        return self.slack >= -TOL
+
+    @classmethod
+    def check(cls, name: str, lhs: float, rhs: float, **details) -> "MarginReport":
+        """The report for lhs <= rhs; raises AssertionError unless it is ok()."""
+        rep = cls(name, lhs, rhs, details)
+        if not rep.ok():
+            raise AssertionError(f"{name}: lhs {lhs} > rhs {rhs}"
+                                 + (f" {details}" if details else ""))
+        return rep
 
     def to_json(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
@@ -277,7 +298,7 @@ from .calibration import AUDIT_CONSTANTS
 
 
 def check_gvn_bounds(f1: Signal, f2: Signal, f3: Signal, f4: Signal,
-                     which: str, tol: float = 1e-9) -> MarginReport:
+                     which: str) -> MarginReport:
     """Margin audit for the four generalized von Neumann style bounds.
 
     which = 'u2plus' : |T(f1,f2,f3,1)|  <= inf_i ||f_i||_{u2+}     (||f_i||_2 <= 1)
@@ -293,66 +314,60 @@ def check_gvn_bounds(f1: Signal, f2: Signal, f3: Signal, f4: Signal,
     p = ctx.p
     if which == "u2plus":
         for i, f in enumerate((f1, f2, f3), 1):
-            _require(f.lp_norm(2) <= 1 + tol, f"||f{i}||_2 > 1")
+            _require(f.lp_norm(2) <= 1 + TOL, f"||f{i}||_2 > 1")
         lhs = abs(T(f1, f2, f3, Signal(ctx, np.ones(p))))
         norms = [norm_u2_plus(f).value for f in (f1, f2, f3)]
-        return MarginReport("u2plus", lhs, min(norms),
-                            {"norms_u2plus": norms})
+        return MarginReport.check("u2plus", lhs, min(norms), norms_u2plus=norms)
     if which == "u2times":
         gs = (f1, f2, f4)
         K = max(g.linf_norm() for g in gs)
         for i, g in zip((1, 2, 4), gs):
-            _require(g.lp_norm(2) <= 1 + tol, f"||g{i}||_2 > 1")
+            _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
         lhs = abs(T(f1, f2, Signal(ctx, np.ones(p)), f4))
         norms = [norm_u2_times(g).value for g in gs]
         rhs = min(norms) + 4 * K**3 / p
-        return MarginReport("u2times", lhs, rhs,
-                            {"norms_u2times": norms, "K": K})
+        return MarginReport.check("u2times", lhs, rhs, norms_u2times=norms, K=K)
     if which == "gvn3":
         for i, f in zip((1, 2, 4), (f1, f2, f4)):
-            _require(f.linf_norm() <= 1 + tol, f"||f{i}||_inf > 1")
-        _require(f3.lp_norm(2) <= 1 + tol, "||f3||_2 > 1")
-        _require(f3.linf_norm() <= p**(1 / 16) + tol, "||f3||_inf > p^(1/16)")
+            _require(f.linf_norm() <= 1 + TOL, f"||f{i}||_inf > 1")
+        _require(f3.lp_norm(2) <= 1 + TOL, "||f3||_2 > 1")
+        _require(f3.linf_norm() <= p**(1 / 16) + TOL, "||f3||_inf > p^(1/16)")
         lhs = abs(T(f1, f2, f3, f4))**8
         u3 = norm_u3_plus(f3).value
         C = AUDIT_CONSTANTS["gvn3_C"]
-        return MarginReport("gvn3", lhs, u3**2 + C / np.sqrt(p),
-                            {"u3plus_f3": u3, "C": C})
+        return MarginReport.check("gvn3", lhs, u3**2 + C / np.sqrt(p), u3plus_f3=u3, C=C)
     if which == "gvnQM":
         for i, f in enumerate((f1, f2, f3, f4), 1):
-            _require(f.linf_norm() <= 1 + tol, f"||f{i}||_inf > 1")
+            _require(f.linf_norm() <= 1 + TOL, f"||f{i}||_inf > 1")
         lhs = abs(T(f1, f2, f3, f4))
         norms = [norm_qm(f).value for f in (f1, f2, f3, f4)]
         C = AUDIT_CONSTANTS["gvnqm_C"]
         rhs = C * min(max(p**(-1 / 64), n**(1 / 5)) for n in norms)
-        return MarginReport("gvnQM", lhs, rhs, {"norms_qm": norms, "C": C})
+        return MarginReport.check("gvnQM", lhs, rhs, norms_qm=norms, C=C)
     raise ValueError(which)
 
 
-def check_u2times_star_bound(g1: Signal, g2: Signal, g4: Signal,
-                             tol: float = 1e-9) -> MarginReport:
+def check_u2times_star_bound(g1: Signal, g2: Signal, g4: Signal) -> MarginReport:
     """|T_tilde(g1,g2,g4)| <= (p/(p-1)) min_i sup_chi |E_{x in F*} g_i conj(chi)|,
     under ||g_i||_2 <= 1 (full-field L2), which absorbs the two non-sup slots."""
     ctx = require_same_ctx(g1, g2, g4)
     p = ctx.p
     for i, g in zip((1, 2, 4), (g1, g2, g4)):
-        _require(g.lp_norm(2) <= 1 + tol, f"||g{i}||_2 > 1")
+        _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
     lhs = abs(T_tilde(g1, g2, g4))
     sups = [float(np.max(mult_inner_star(g))) for g in (g1, g2, g4)]
-    return MarginReport("u2times_star", lhs, p / (p - 1) * min(sups),
-                        {"star_sups": sups})
+    return MarginReport.check("u2times_star", lhs, p / (p - 1) * min(sups), star_sups=sups)
 
 
-def check_simple_lemma(f1: Signal, f3: Signal, f4: Signal, S,
-                       tol: float = 1e-9) -> MarginReport:
+def check_simple_lemma(f1: Signal, f3: Signal, f4: Signal, S) -> MarginReport:
     """|T(f1, 1_S, f3, f4)| <= K^3/p + 9 mu(S) min_i ||f_i||_2,
     under ||f_i||_inf <= K and ||f_i||_4 <= 3."""
     ctx = require_same_ctx(f1, f3, f4)
     p = ctx.p
     K = max(f.linf_norm() for f in (f1, f3, f4))
     for i, f in zip((1, 3, 4), (f1, f3, f4)):
-        _require(f.lp_norm(4) <= 3 + tol, f"||f{i}||_4 > 3")
+        _require(f.lp_norm(4) <= 3 + TOL, f"||f{i}||_4 > 3")
     mu_S = len(set(x % p for x in S)) / p
     lhs = abs(T(f1, indicator(ctx, S), f3, f4))
     rhs = K**3 / p + 9 * mu_S * min(f.lp_norm(2) for f in (f1, f3, f4))
-    return MarginReport("simple_lemma", lhs, rhs, {"K": K, "mu_S": mu_S})
+    return MarginReport.check("simple_lemma", lhs, rhs, K=K, mu_S=mu_S)

@@ -255,13 +255,16 @@ class TrigPoly:
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def constant(d: int, c: complex = 1.0) -> "TrigPoly":
+    def constant(d: int) -> "TrigPoly":
+        """The constant 1."""
         z = tuple([0] * d)
-        return TrigPoly(d, {(z, z, z): c})
+        return TrigPoly(d, {(z, z, z): 1.0})
 
     @staticmethod
     def random(d: int, rng: np.random.Generator, n_terms: int = 3,
-               max_freq: int = 1, mass: float = 1.5) -> "TrigPoly":
+               max_freq: int = 1) -> "TrigPoly":
+        """n_terms distinct frequency triples in [-max_freq, max_freq]^{3d}
+        with complex gaussian coefficients scaled to total mass 1.5."""
         if (2 * max_freq + 1) ** (3 * d) < n_terms:
             raise ValueError(f"d={d}, max_freq={max_freq} give fewer than "
                              f"{n_terms} frequency triples")
@@ -271,7 +274,7 @@ class TrigPoly:
                         for _ in range(3))
             terms[key] = rng.standard_normal() + 1j * rng.standard_normal()
         total = sum(abs(c) for c in terms.values())
-        scale = mass / total if total > 0 else 1.0
+        scale = 1.5 / total if total > 0 else 1.0
         return TrigPoly(d, {k: c * scale for k, c in terms.items()})
 
     def shifted(self, h: GPoint) -> "TrigPoly":
@@ -377,14 +380,13 @@ def box_fraction(psi: QMSystem, eps) -> tuple:
     return frac, eps ** (3 * psi.d)
 
 
-def check_bohr_density(psi: QMSystem, eps, assert_above_p: int = 50) -> tuple:
-    """(mu(B(Psi,eps)), (1/8)(eps/4)^{3d}); asserts the bound for p above
-    the configurable threshold, reports only below it."""
+def check_bohr_density(psi: QMSystem, eps) -> tuple:
+    """(mu(B(Psi,eps)), (1/8)(eps/4)^{3d}), the floor asserted exactly."""
     eps = as_fraction(eps)
     B = bohr_set(psi, eps)
     mu = Fraction(len(B), psi.ctx.p)
     bound = Fraction(1, 8) * (eps / 4) ** (3 * psi.d)
-    if psi.ctx.p > assert_above_p and mu < bound:
+    if mu < bound:
         raise AssertionError(f"Bohr density {mu} below floor {bound} at p={psi.ctx.p}")
     return mu, bound
 
@@ -442,14 +444,11 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
         H = enumerate_H(psi)
         if H.size <= H_ENUM_BUDGET:
             rhs_enum = _average_over_H(F, H)
-            if abs(rhs - rhs_enum) > 1e-9:
-                raise AssertionError(
-                    f"orthogonality mismatch: {rhs} vs {rhs_enum}")
+            MarginReport.check("orthogonality mismatch", abs(rhs - rhs_enum), 0.0,
+                               lattice_sum=rhs, H_average=rhs_enum)
     margin = abs(lhs - rhs)
     bound = AUDIT_CONSTANTS["babycount_single_mode"] / math.sqrt(psi.ctx.p) * off_mass
-    if margin > bound + 1e-9:
-        raise AssertionError(
-            f"baby count margin {margin} exceeds single-mode bound {bound}")
+    MarginReport.check("baby count single-mode bound", margin, bound, off_mass=off_mass)
     return lhs, complex(rhs), margin
 
 
@@ -496,8 +495,7 @@ def counting_integral_I(psi: QMSystem, F: TrigPoly,
         cross_check = psi.d >= 1 and enumerate_H(psi).size ** 2 <= H_SQUARED_BUDGET
     if cross_check:
         direct = counting_integral_direct(psi, F)
-        if abs(total - direct) > 1e-9:
-            raise AssertionError(f"I(F) mismatch: {total} vs {direct}")
+        MarginReport.check("I(F) mismatch", abs(total - direct), 0.0, I=total, direct=direct)
     return complex(total)
 
 
@@ -533,8 +531,7 @@ def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:
     return complex(total / H.size ** 2)
 
 
-def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps,
-                         assert_budget: bool = True) -> MarginReport:
+def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps) -> MarginReport:
     """|T(F o Psi, 1_S, F o Psi, F o Psi) - mu(S) I(F)| against the audited
     budget C1 * eps * mu(S) * M^4 + C2 * M^{9d} / sqrt(p), for S inside
     the Bohr set B(Psi, eps)."""
@@ -555,11 +552,6 @@ def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps,
     budget_p = M ** (9 * psi.d) / np.sqrt(p)
     C1 = AUDIT_CONSTANTS["countlemma_C1"]
     C2 = AUDIT_CONSTANTS["countlemma_C2"]
-    rhs = C1 * budget_eps + C2 * budget_p
-    rep = MarginReport("counting_lemma", margin, rhs,
-                       {"T": lhs_T, "I": I, "mu_S": mu_S, "M": M,
-                        "budget_eps": budget_eps, "budget_p": budget_p,
-                        "C1": C1, "C2": C2})
-    if assert_budget and not rep.ok():
-        raise AssertionError(f"counting lemma margin {margin} exceeds budget {rhs}")
-    return rep
+    return MarginReport.check("counting_lemma", margin, C1 * budget_eps + C2 * budget_p,
+                              T=lhs_T, I=I, mu_S=mu_S, M=M, budget_eps=budget_eps,
+                              budget_p=budget_p, C1=C1, C2=C2)

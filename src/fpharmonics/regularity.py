@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
+from .counting import TOL, MarginReport
 from .field import FieldCtx, quad_phase_values
 from .harmonic import (Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
@@ -113,8 +114,8 @@ class QuadDecomposition:
                 "residual_u3": self.residual_u3}
 
 
-def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
-                   tol: float = 1e-9) -> QuadDecomposition:
+def quad_decompose(f: Signal, eps: float,
+                   enforce_eps_bound: bool = False) -> QuadDecomposition:
     """Keep lambda_phi = <f, phi> exactly when |<f, phi>| >= eps/2.
 
     Requires ||f||_2 <= 1.  The lemma's hypothesis eps >= 4 p^{-1/8} is
@@ -126,7 +127,7 @@ def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
     p = f.p
     if not 0 < eps < math.inf:
         raise ValueError(f"eps={eps} must be positive and finite")
-    if f.lp_norm(2) > 1 + tol:
+    if f.lp_norm(2) > 1 + TOL:
         raise ValueError("||f||_2 > 1")
     if enforce_eps_bound and eps < 4 * p ** (-1 / 8):
         raise ValueError(f"eps={eps} too small for p={p} (need >= 4 p^-1/8)")
@@ -140,22 +141,16 @@ def quad_decompose(f: Signal, eps: float, enforce_eps_bound: bool = False,
     residual = Signal(f.ctx, f.values - structured)
     res_u3 = norm_u3_plus(residual).value
 
-    if res_u3 > eps + tol:
-        raise AssertionError(f"residual u3+ {res_u3} > eps {eps}")
-    energy = Signal(f.ctx, structured).lp_norm(2) ** 2
-    if energy > 3 + tol:
-        raise AssertionError(f"structured energy {energy} > 3")
-    mass = sum(abs(c) for c in lambdas.values())
-    if mass > 4 / eps + tol:
-        raise AssertionError(f"coefficient mass {mass} > 4/eps")
-    if len(lambdas) > 8 / eps**2 + tol:
-        raise AssertionError(f"support {len(lambdas)} > 8/eps^2")
+    MarginReport.check("residual u3+ <= eps", res_u3, eps)
+    MarginReport.check("structured energy <= 3", Signal(f.ctx, structured).lp_norm(2) ** 2, 3)
+    MarginReport.check("coefficient mass <= 4/eps", sum(abs(c) for c in lambdas.values()),
+                       4 / eps)
+    MarginReport.check("support <= 8/eps^2", len(lambdas), 8 / eps**2)
     return QuadDecomposition(eps=eps, lambdas=lambdas, residual=residual,
                              residual_u3=res_u3)
 
 
-def decomposable_unit_signal(ctx: FieldCtx, rng: np.random.Generator,
-                             amp: float = 0.85, noise: float = 0.15) -> Signal:
+def decomposable_unit_signal(ctx: FieldCtx, rng: np.random.Generator) -> Signal:
     """A random unit-L2 signal on which the decomposition is nonempty and
     its conclusions attainable: one dominant quadratic phase plus mild flat
     noise.  At desk scale the lemma's hypothesis eps >= 4 p^{-1/8} can
@@ -164,11 +159,11 @@ def decomposable_unit_signal(ctx: FieldCtx, rng: np.random.Generator,
     the property suite draws from this family instead."""
     p = ctx.p
     r, s = rng.integers(0, p, 2)
-    c = amp * np.exp(2j * np.pi * rng.uniform())
+    c = 0.85 * np.exp(2j * np.pi * rng.uniform())
     vals = c * quad_phase_values(ctx, r, s)
     nz = rng.standard_normal(p) + 1j * rng.standard_normal(p)
     nz /= np.sqrt(np.mean(np.abs(nz) ** 2))
-    vals = vals + noise * nz
+    vals = vals + 0.15 * nz
     f = Signal(ctx, vals)
     return Signal(ctx, vals / f.lp_norm(2))
 
@@ -189,8 +184,7 @@ def correlation_system(ctx: FieldCtx, r: int, s: int, k: int) -> tuple:
 
 def find_correlating_projection(f: Signal, delta: float, R: int,
                                 ratio_C: Optional[float] = None,
-                                sup_bound: float = 1.0,
-                                tol: float = 1e-9):
+                                sup_bound: float = 1.0):
     """From the QM-norm maximizer of f, build the 2-dimensional system Phi
     and g = F o Phi, and certify |<f, Pi_R^Phi g>| >= delta - c ||f||_1 / R
     with c = 6*pi (the Lipschitz budget of F over one atom).
@@ -198,7 +192,7 @@ def find_correlating_projection(f: Signal, delta: float, R: int,
     Returns (Phi, g, witness, atoms).  ratio_C = None skips the R >= C/delta
     requirement (the KvN loop runs fixtures below that ratio).
     """
-    if f.linf_norm() > sup_bound + tol:
+    if f.linf_norm() > sup_bound + TOL:
         raise ValueError(f"||f||_inf > {sup_bound}")
     if ratio_C is None:
         ratio_C = AUDIT_CONSTANTS["corr_ratio_C"]
@@ -214,9 +208,7 @@ def find_correlating_projection(f: Signal, delta: float, R: int,
     pg = project(atoms, g)
     witness = abs(inner_product(f, pg))
     c = AUDIT_CONSTANTS["lipschitz_c"] * max(1.0, f.lp_norm(1))
-    if witness < delta - c / R - tol:
-        raise AssertionError(
-            f"witness {witness:.4f} below certified floor {delta - c / R:.4f}")
+    MarginReport.check("witness above the certified floor", delta - c / R, witness)
     return phi, g, witness, atoms
 
 
@@ -229,24 +221,21 @@ class KvnResult:
 
 
 def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
-                         R: int, budget_c: Optional[float] = None,
-                         tol: float = 1e-9) -> KvnResult:
+                         R: int) -> KvnResult:
     """Extend psi0 until every residual f_i - Pi_R^Psi f_i has QM norm
     <= delta.  Energy E_j = sum_i ||Pi_j f_i||_2^2 increases by the full
     Pythagoras step each iteration (asserted), so the loop stops within
-    ceil(budget_c * r / delta^2) iterations or reports the energy trace.
+    ceil(kvn_budget_c * len(fs) / delta^2) iterations or reports the energy
+    trace.
     """
     if not fs:
         raise ValueError("need at least one signal")
     if not delta > 0:
         raise ValueError(f"need delta > 0, got {delta}")
     for f in fs:
-        if f.linf_norm() > 1 + tol:
+        if f.linf_norm() > 1 + TOL:
             raise ValueError("||f_i||_inf > 1")
-    if budget_c is None:
-        budget_c = AUDIT_CONSTANTS["kvn_budget_c"]
-    r = len(fs)
-    max_iter = math.ceil(budget_c * r / delta**2)
+    max_iter = math.ceil(AUDIT_CONSTANTS["kvn_budget_c"] * len(fs) / delta**2)
     psi = psi0
     atoms = build_atoms(psi, R)
     projections = [project(atoms, f) for f in fs]
@@ -269,13 +258,11 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
         for g_old, g_new, f in zip(projections, new_projections, fs):
             step = Signal(f.ctx, g_new.values - g_old.values).lp_norm(2) ** 2
             gain = g_new.lp_norm(2) ** 2 - g_old.lp_norm(2) ** 2
-            if abs(gain - step) > 1e-9:
-                raise AssertionError("Pythagoras identity violated "
-                                     f"({gain} vs {step})")
+            MarginReport.check("Pythagoras identity", abs(gain - step), 0.0,
+                               gain=gain, step=step)
         projections = new_projections
         energy = sum(g.lp_norm(2) ** 2 for g in projections)
-        if energy < trace[-1] - 1e-9:
-            raise AssertionError("energy decreased")
+        MarginReport.check("energy increase", trace[-1], energy)
         trace.append(energy)
     raise RuntimeError(f"iteration budget {max_iter} exceeded; "
                        f"energy trace {trace}")
@@ -397,24 +384,21 @@ class SmoothBox:
 
 
 def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
-                      v: Sequence[int], eps: float,
-                      gamma: Optional[float] = None) -> SmoothBox:
+                      v: Sequence[int], eps: float) -> SmoothBox:
     """Smoothed indicator of the generalised interval I_{R;t,u,v}.
 
     Explicit construction: each circle coordinate gets G_j/(1 - t_in), with
-    G_j the convolution of the gamma-enlarged interval indicator with a
-    Jackson kernel, so 0 <= F, F >= 1 on I, and F <= eps/(10 R^{3d}) at
-    distance > 2*gamma from I.  The kernel degree auto-escalates once if
-    the certified tail exceeds the per-factor allowance, then errors.
+    G_j the convolution of the gamma-enlarged interval indicator
+    (gamma = 1/(4R)) with a Jackson kernel, so 0 <= F, F >= 1 on I, and
+    F <= eps/(10 R^{3d}) at distance > 2*gamma from I.  The kernel degree
+    auto-escalates once if the certified tail exceeds the per-factor
+    allowance, then errors.
     """
     if d == 0:
         return SmoothBox(0, R, ((), (), ()), eps, 0.0, ())
     if R < 1 or (R & (R - 1)) != 0:
         raise ValueError("R must be a power of two")
-    if gamma is None:
-        gamma = 1.0 / (4 * R)
-    if not 0 < gamma < 1.0 / (2 * R):
-        raise ValueError("gamma must lie in (0, 1/(2R))")
+    gamma = 1.0 / (4 * R)
     a_ceiling = eps / (10 * R ** (3 * d))
     tau0 = a_ceiling / (8 * 3 * d)
     sqrt2_frac = math.sqrt(2.0) - 1.0

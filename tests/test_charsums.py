@@ -52,13 +52,6 @@ def test_weil_rejects_repeated_shifts():
         weil_product_sum(ctx, [MultChar(1), MultChar(2)], [3, 3])
 
 
-def test_weil_repeats_allowed_when_flagged():
-    ctx = cached_field(13)
-    s, bound = weil_product_sum(ctx, [MultChar(1), MultChar(2)], [3, 3],
-                                distinct=False)
-    assert np.isfinite(abs(s))
-
-
 def test_weil_random_suite(rng):
     ctx = cached_field(31)
     for _ in range(100):

@@ -133,6 +133,30 @@ def test_census_with_coloring_file(tmp_path, capsys):
     assert report["total"] == 10
 
 
+@pytest.mark.parametrize("coloring, message", [
+    ({"r": 2}, '"assign"'),
+    ([0, 1, 0, 1, 0, 1, 0], '"assign"'),
+    # once truncated to [0, 1, 0, 1, 0, 1, 0], another colouring's census
+    ({"assign": [0.5, 1.7, 0, 1, 0, 1, 0]}, "integer colors"),
+    ({"assign": [True, False, True, False, True, False, True]}, "integer colors"),
+    ({"assign": [0, 1, 0, 1, 0, 1, 0], "r": 2.5}, '"r" must be an integer'),
+], ids=("no-assign", "bare-list", "float-entries", "bool-entries", "float-r"))
+def test_census_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys):
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(coloring))
+    assert main(["census", "--p", "7", "--coloring", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_bohr_asserts_the_density_floor_at_small_p(monkeypatch, capsys):
+    # the floor (1/8)(eps/4)^{3d} is asserted at every p; an empty Bohr set
+    # (impossible, since 0 is in B) must fail the claim rather than pass
+    monkeypatch.setattr("fpharmonics.qm.bohr_set", lambda psi, eps: [])
+    assert main(["bohr", "--p", "13"]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: Bohr density 0 below floor")
+
+
 def _total_pair_coloring(T, n=7):
     """One class coloring all of T x (T - T) in Z_n, as the CLI reads it."""
     diffs = sorted({(a - b) % n for a in T for b in T})

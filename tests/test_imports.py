@@ -77,3 +77,23 @@ def test_perfbench_timed_names_resolve():
         obj = getattr(module, name, None)
         assert inspect.isfunction(obj) or hasattr(obj, "cache_info"), (layer, name)
         assert obj.__module__ == module.__name__, (layer, name)
+
+
+# -- one tolerance --------------------------------------------------------------
+
+def test_one_float_tolerance():
+    # every float audit reads counting.TOL: the literal 1e-9 is written once,
+    # and no function takes its own tolerance
+    literals, tol_params = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) is float \
+                    and node.value == 1e-9:
+                literals.append((path.name, node.lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "tol" in names:
+                    tol_params.append((path.name, node.name))
+    assert [name for name, _ in literals] == ["counting.py"], literals
+    assert tol_params == []
