@@ -54,7 +54,7 @@ AUDIT_CONSTANTS = {
     "lipschitz_c": 6 * math.pi,
     # KvN loop: iteration budget ceil(kvn_budget_c * r / delta^2)
     "kvn_budget_c": 4.0,
-    # correlation finder default ratio requirement R >= corr_ratio_C / delta
+    # correlation finder ratio requirement R >= corr_ratio_C / delta
     "corr_ratio_C": 16.0,
 }
 

@@ -1,22 +1,26 @@
 """Partitions, projections, decompositions, and the energy-increment loop.
 
 Generalised intervals: for R a power of two, the circle R/Z splits into R
-half-open intervals [t/R + sqrt2, (t+1)/R + sqrt2) mod 1.  The sqrt2
-offset guarantees no orbit coordinate (a rational with denominator at
-most p <= 1e5) ever hits an endpoint:
+half-open intervals [t/R + sqrt2, (t+1)/R + sqrt2) mod 1.  An orbit
+coordinate num/den (0 <= num < den) lies in interval t = floor(R num/den
+- R sqrt2) mod R.  R den sqrt2 is irrational, so with K = isqrt(2 R^2
+den^2) = floor(R den sqrt2) the numerator R num - R den sqrt2 lies strictly
+between R num - K - 1 and R num - K, and t = (R num - K - 1) // den mod R:
+exact int64 array arithmetic, and no coordinate ever sits on an endpoint.
 
     sqrt2 endpoint certificate: the distance from R*theta - R*sqrt2 to the
     nearest integer is at least ||R*den*sqrt2|| / den >= 1/(3*R*den^2)
     >= 1/(3 * 2^10 * 10^10) > 3e-14, using ||m sqrt2|| >= 1/(3m) (verified
-    exhaustively by check_sqrt2_gap).  We compute with sqrt2 to 96
-    fractional bits, so the fixed-point error R * 2^-96 < 1e-26 can never
-    flip a floor; interval membership is therefore exact.
+    exhaustively by check_sqrt2_gap).  So a floating-point floor of
+    R*(num/den - sqrt2) also decides membership correctly at every p and R
+    the field tables admit; the exact codes above do not rely on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,72 +28,90 @@ import numpy as np
 from .calibration import AUDIT_CONSTANTS
 from .counting import TOL, MarginReport
 from .field import FieldCtx, quad_phase_values
-from .harmonic import (Signal, inner_product, norm_qm, norm_u3_plus,
+from .harmonic import (NormResult, Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
 from .qm import QMSystem, TrigPoly, orbit_arrays, compose_signal
 
-SQRT2_BITS = 96
-SQRT2_DEN = 1 << SQRT2_BITS
-SQRT2_NUM = math.isqrt(2 << (2 * SQRT2_BITS))  # floor(sqrt2 * 2^96)
 MAX_R = 1 << 10
 
 
-def interval_index(num: int, den: int, R: int) -> int:
-    """The t with num/den in [t/R + sqrt2, (t+1)/R + sqrt2) mod 1,
-    i.e. t = floor(R*(num/den - sqrt2)) mod R, in exact integer arithmetic."""
-    q = (R * num * SQRT2_DEN - R * SQRT2_NUM * den) // (den * SQRT2_DEN)
-    return q % R
+def _interval_codes(nums: np.ndarray, den: int, R: int) -> np.ndarray:
+    """floor(R*(num/den - sqrt2)) mod R for each 0 <= num < den, exactly
+    (see the module docstring)."""
+    K = math.isqrt(2 * (R * den) ** 2)
+    return (R * nums - (K + 1)) // den % R
 
 
 @dataclass(frozen=True)
 class PartitionAtoms:
-    """Atoms of F_p under the generalised-interval partition of G^d at scale R."""
+    """Atoms of F_p under the generalised-interval partition of G^d at scale R.
+
+    Atoms are numbered in order of first occurrence along x = 0..p-1:
+    labels[x] is the number of x's atom, and codes[j] the interval codes
+    (t.., u.., v..) of atom j.  Both follow from (psi, R), so equality
+    compares only those."""
 
     psi: QMSystem
     R: int
-    keys: tuple                  # per-x atom key ((t..), (u..), (v..))
-    groups: dict = field(compare=False)  # key -> np.ndarray of x values
+    labels: np.ndarray = field(compare=False)
+    codes: np.ndarray = field(compare=False)
 
     @property
     def n_atoms(self) -> int:
-        return len(self.groups)
+        return len(self.codes)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """Per-x atom key ((t..), (u..), (v..)) of Python ints."""
+        d = self.psi.d
+        blocks = (self.codes[:, i * d:(i + 1) * d].tolist() for i in range(3))
+        atom_keys = list(zip(*(map(tuple, b) for b in blocks)))
+        return tuple(map(atom_keys.__getitem__, self.labels.tolist()))
+
+    @cached_property
+    def groups(self) -> dict:
+        """key -> ascending np.ndarray of the atom's x values, atoms in
+        first-occurrence order."""
+        xs = np.argsort(self.labels, kind="stable")
+        atoms = np.split(xs, np.cumsum(np.bincount(self.labels))[:-1])
+        return {self.keys[int(a[0])]: a for a in atoms}
 
 
 def build_atoms(psi: QMSystem, R: int) -> PartitionAtoms:
-    """Assign every x in F_p to its generalised-interval atom."""
+    """Assign every x in F_p to its generalised-interval atom: the 3d
+    interval codes of Psi(x) form one integer row per x, and equal rows
+    are one atom."""
     if R < 1 or (R & (R - 1)) != 0 or R > MAX_R:
         raise ValueError(f"R must be a power of two <= {MAX_R}, got {R}")
     p = psi.ctx.p
     th1, th2, v = orbit_arrays(psi)
-    keys = []
-    for x in range(p):
-        t = tuple(interval_index(int(th1[x, i]), p, R) for i in range(psi.d))
-        u = tuple(interval_index(int(th2[x, i]), p, R) for i in range(psi.d))
-        w = tuple(interval_index(int(v[x, i]), p - 1, R) for i in range(psi.d))
-        keys.append((t, u, w))
-    groups = {}
-    for x, key in enumerate(keys):
-        groups.setdefault(key, []).append(x)
-    groups = {k: np.array(xs, dtype=np.int64) for k, xs in groups.items()}
-    return PartitionAtoms(psi, R, tuple(keys), groups)
+    codes = np.concatenate([_interval_codes(th1, p, R), _interval_codes(th2, p, R),
+                            _interval_codes(v, p - 1, R)], axis=1)
+    rows, first, inverse = np.unique(codes, axis=0, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return PartitionAtoms(psi, R, rank[inverse.ravel()], rows[order])
 
 
 def project(atoms: PartitionAtoms, f: Signal) -> Signal:
-    """Conditional expectation onto the atoms (Pi_R^Psi)."""
+    """Conditional expectation onto the atoms (Pi_R^Psi): each atom's mean
+    of f, from two bincount sums over the labels."""
     if f.ctx.p != atoms.psi.ctx.p:
         raise ValueError("field mismatch")
-    out = np.empty_like(f.values)
-    for xs in atoms.groups.values():
-        out[xs] = np.mean(f.values[xs])
-    return Signal(f.ctx, out)
+    labels = atoms.labels
+    sums = (np.bincount(labels, weights=f.values.real)
+            + 1j * np.bincount(labels, weights=f.values.imag))
+    return Signal(f.ctx, (sums / np.bincount(labels))[labels])
 
 
 def refines(fine: PartitionAtoms, coarse: PartitionAtoms) -> bool:
-    """Every atom of `fine` lies inside a single atom of `coarse`."""
-    for xs in fine.groups.values():
-        if len({coarse.keys[int(x)] for x in xs}) != 1:
-            return False
-    return True
+    """Every atom of `fine` lies inside a single atom of `coarse`: each fine
+    label maps to one coarse label."""
+    to_coarse = np.empty(fine.n_atoms, dtype=np.int64)
+    to_coarse[fine.labels] = coarse.labels
+    return bool(np.array_equal(to_coarse[fine.labels], coarse.labels))
 
 
 # -- quadratic decomposition --------------------------------------------------
@@ -182,23 +204,24 @@ def correlation_system(ctx: FieldCtx, r: int, s: int, k: int) -> tuple:
     return phi, F
 
 
-def find_correlating_projection(f: Signal, delta: float, R: int,
-                                ratio_C: Optional[float] = None,
-                                sup_bound: float = 1.0):
+def find_correlating_projection(f: Signal, delta: float, R: int):
     """From the QM-norm maximizer of f, build the 2-dimensional system Phi
     and g = F o Phi, and certify |<f, Pi_R^Phi g>| >= delta - c ||f||_1 / R
     with c = 6*pi (the Lipschitz budget of F over one atom).
 
-    Returns (Phi, g, witness, atoms).  ratio_C = None skips the R >= C/delta
-    requirement (the KvN loop runs fixtures below that ratio).
+    Requires ||f||_inf <= 1 and R >= corr_ratio_C / delta.  Returns
+    (Phi, g, witness, atoms).
     """
-    if f.linf_norm() > sup_bound + TOL:
-        raise ValueError(f"||f||_inf > {sup_bound}")
-    if ratio_C is None:
-        ratio_C = AUDIT_CONSTANTS["corr_ratio_C"]
-    if ratio_C > 0 and R < ratio_C / delta:
+    if f.linf_norm() > 1 + TOL:
+        raise ValueError("||f||_inf > 1")
+    ratio_C = AUDIT_CONSTANTS["corr_ratio_C"]
+    if R < ratio_C / delta:
         raise ValueError(f"R={R} below required ratio {ratio_C}/delta")
-    qm = norm_qm(f)
+    return _correlating_projection(f, norm_qm(f), delta, R)
+
+
+def _correlating_projection(f: Signal, qm: NormResult, delta: float, R: int):
+    """find_correlating_projection past its input checks, from f's QM norm."""
     if qm.value < delta:
         raise ValueError(f"||f||_QM = {qm.value:.4f} < delta = {delta}")
     r, s, k = qm.witness
@@ -227,6 +250,13 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     Pythagoras step each iteration (asserted), so the loop stops within
     ceil(kvn_budget_c * len(fs) / delta^2) iterations or reports the energy
     trace.
+
+    Each residual's QM norm is computed once per iteration, and not at all
+    when ||h||_1 <= delta (then ||h||_QM <= ||h||_1, as |phi chi| = 1, so h
+    cannot be the worst residual while the loop goes on); the worst one's
+    norm also yields the correlating system.  An iteration that leaves the
+    partition unchanged would repeat forever, so it raises ValueError: R is
+    too coarse to resolve the correlating system at this delta.
     """
     if not fs:
         raise ValueError("need at least one signal")
@@ -244,16 +274,22 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     for it in range(max_iter + 1):
         residuals = [Signal(f.ctx, f.values - g.values)
                      for f, g in zip(fs, projections)]
-        qms = [norm_qm(h).value for h in residuals]
-        worst = int(np.argmax(qms))
-        if qms[worst] <= delta:
+        # TOL to spare, so rounding in either norm cannot skip a worst residual
+        qms = [norm_qm(h) if h.lp_norm(1) > delta - TOL else None for h in residuals]
+        values = [-math.inf if qm is None else qm.value for qm in qms]
+        worst = int(np.argmax(values))
+        if values[worst] <= delta:
             return KvnResult(psi, it, tuple(trace), atoms)
         if it == max_iter:
             break
-        phi, _, _, _ = find_correlating_projection(
-            residuals[worst], delta, R, ratio_C=0, sup_bound=2.0)
+        phi = _correlating_projection(residuals[worst], qms[worst], delta, R)[0]
         psi = psi.extended(phi.dims)
-        atoms = build_atoms(psi, R)
+        new_atoms = build_atoms(psi, R)
+        if np.array_equal(new_atoms.labels, atoms.labels):
+            raise ValueError(f"R = {R} leaves the partition unchanged at iteration "
+                             f"{it + 1}, so no residual QM norm can fall to "
+                             f"delta = {delta}; use a larger R")
+        atoms = new_atoms
         new_projections = [project(atoms, f) for f in fs]
         for g_old, g_new, f in zip(projections, new_projections, fs):
             step = Signal(f.ctx, g_new.values - g_old.values).lp_norm(2) ** 2
@@ -432,7 +468,8 @@ def smooth_majorant(atoms: PartitionAtoms, f: Signal, eps: float):
 # -- sqrt2 gap ------------------------------------------------------------------
 
 def check_sqrt2_gap(m_max: int = 10**6) -> dict:
-    """Verify ||m sqrt2||_{R/Z} >= 1/(3m) for 1 <= m <= m_max, exactly.
+    """Verify ||m sqrt2||_{R/Z} >= 1/(3m) for 1 <= m <= m_max, exactly: the
+    endpoint gap of the module docstring, which float interval oracles rely on.
 
     For each m the two integer candidates around m*sqrt2 are k = isqrt(2m^2)
     and k+1; the condition |m sqrt2 - k| >= 1/(3m) squares to a pure

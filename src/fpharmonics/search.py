@@ -16,6 +16,7 @@ none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,8 @@ from .counting import ROW_BLOCK, monochromatic_counts
 from .field import FieldCtx
 
 MAX_N = 300
-EXHAUSTIVE_BUDGET = 10**7
+# colorings x p^2 pair checks one scan may make; 2^19 * 19^2 (about 2 s) fits
+SCAN_BUDGET = 2 * 10**8
 
 
 def interval_patterns(N: int, distinct: bool = False) -> list:
@@ -226,34 +228,38 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
                      count: int = 1000, rng=None) -> dict:
     """Min / mean monochromatic quadruple count over F_p colorings.
 
-    mode "exhaustive" enumerates all r^p colorings (requires r^p <= 10^7);
-    mode "random" samples `count` uniform colorings (1 <= count <= 10^7).
-    The reported min is a lower-bound witness for the c_r * p^2 quadruple
-    guarantee at this p.
+    mode "exhaustive" enumerates all r^p colorings; mode "random" samples
+    `count` >= 1 uniform colorings.  Each coloring costs p^2 pair checks,
+    and a scan may make at most SCAN_BUDGET of them.  The reported min is a
+    lower-bound witness for the c_r * p^2 quadruple guarantee at this p.
     """
     p = ctx.p
     if r < 1:
         raise ValueError(f"need r >= 1 colors, got {r}")
+    if mode == "exhaustive":
+        # r^p, but never a huge power where the budget rejects the scan anyway
+        n_total = r**p if p * math.log2(r) < 64 else SCAN_BUDGET + 1
+    elif mode == "random":
+        if count < 1:
+            raise ValueError(f"random scan needs count >= 1, got {count}")
+        n_total = count
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if n_total * p**2 > SCAN_BUDGET:
+        what = f"r^p = {r}^{p}" if mode == "exhaustive" else f"count = {count}"
+        raise ValueError(f"{what} colorings at p^2 = {p**2} pair checks each exceed "
+                         f"the scan budget of {SCAN_BUDGET} pair checks")
     size = max(1, ROW_BLOCK // p**2)  # colorings counted per call
     if mode == "exhaustive":
-        if r**p > EXHAUSTIVE_BUDGET:
-            raise ValueError(f"r^p = {r**p} exceeds the exhaustive budget")
-        n_total = r**p
         digits = r ** np.arange(p - 1, -1, -1, dtype=np.int64)
         # base-r digits of 0..r^p - 1, most significant first: itertools.product order
         stacks = (np.arange(lo, min(lo + size, n_total))[:, None] // digits % r
                   for lo in range(0, n_total, size))
-    elif mode == "random":
-        if not 1 <= count <= EXHAUSTIVE_BUDGET:
-            raise ValueError(f"random scan needs 1 <= count <= {EXHAUSTIVE_BUDGET}, "
-                             f"got {count}")
+    else:
         if rng is None:
             rng = np.random.default_rng()
-        n_total = count
         stacks = (np.array([rng.integers(0, r, size=p) for _ in range(min(size, count - lo))])
                   for lo in range(0, count, size))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     best = None
     best_coloring = None

@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -191,6 +192,7 @@ def test_assertion_failure_exits_one(capsys):
     ["scan", "--r", "0"],
     ["kvn", "--delta", "0"],
     ["kvn", "--r", "0"],
+    ["kvn", "--p", "31", "--R", "1"],
     ["bohr", "--d", "-1"],
     ["bohr", "--eps", "inf"],
     ["decompose", "--eps", "0"],
@@ -198,6 +200,21 @@ def test_assertion_failure_exits_one(capsys):
 ], ids=lambda a: " ".join(a))
 def test_usage_error_exits_two(argv, capsys):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--p", "23"],
+    ["scan", "--p", "7", "--r", "10"],
+    ["scan", "--p", "1009", "--mode", "random", "--count", "10000"],
+    ["scan", "--p", "101", "--mode", "random", "--count", str(10**7)],
+], ids=lambda a: " ".join(a))
+def test_scan_over_the_work_budget_exits_two_promptly(argv, capsys):
+    # each once ran for 8 s to hours: the budget counted colorings, whose
+    # cost grows with p^2, and now counts their pair checks
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "scan budget" in capsys.readouterr().err
 
 
 def test_equidist_d0_exits_two_promptly():

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
-from fractions import Fraction
+import json
+import math
 
 import numpy as np
 import pytest
 
-from fpharmonics.field import cached_field
+from fpharmonics import regularity
+from fpharmonics.calibration import AUDIT_CONSTANTS
+from fpharmonics.cli import main
+from fpharmonics.field import MultChar, cached_field, mult_char_values
 from fpharmonics.harmonic import (Signal, inner_product, norm_qm,
                                   norm_u3_plus, random_signal)
-from fpharmonics.qm import QMSystem
+from fpharmonics.qm import QMSystem, orbit_arrays
 from fpharmonics.regularity import (build_atoms, check_sqrt2_gap,
+                                    correlation_system,
                                     decomposable_unit_signal,
                                     find_correlating_projection,
                                     kvn_energy_increment, project,
@@ -19,6 +24,181 @@ from fpharmonics.regularity import (build_atoms, check_sqrt2_gap,
 
 def system(p, dims):
     return QMSystem(cached_field(p), dims)
+
+
+# -- the per-point loops the label arrays replaced, kept as their oracles ------
+
+SQRT2_BITS = 96
+SQRT2_DEN = 1 << SQRT2_BITS
+SQRT2_NUM = math.isqrt(2 << (2 * SQRT2_BITS))  # floor(sqrt2 * 2^96)
+
+
+def interval_index(num: int, den: int, R: int) -> int:
+    """floor(R*(num/den - sqrt2)) mod R on Python ints, with sqrt2 to 96
+    fractional bits: the fixed-point error R * 2^-96 < 1e-26 is far below
+    the 3e-14 endpoint gap that check_sqrt2_gap certifies."""
+    q = (R * num * SQRT2_DEN - R * SQRT2_NUM * den) // (den * SQRT2_DEN)
+    return q % R
+
+
+def atoms_loop(psi, R):
+    """(per-x keys, key -> list of x in first-occurrence order), point by point."""
+    p = psi.ctx.p
+    th1, th2, v = orbit_arrays(psi)
+    keys = []
+    for x in range(p):
+        t = tuple(interval_index(int(th1[x, i]), p, R) for i in range(psi.d))
+        u = tuple(interval_index(int(th2[x, i]), p, R) for i in range(psi.d))
+        w = tuple(interval_index(int(v[x, i]), p - 1, R) for i in range(psi.d))
+        keys.append((t, u, w))
+    groups = {}
+    for x, key in enumerate(keys):
+        groups.setdefault(key, []).append(x)
+    return tuple(keys), groups
+
+
+def project_loop(groups, values):
+    out = np.empty_like(values)
+    for xs in groups.values():
+        out[xs] = np.mean(values[xs])
+    return out
+
+
+def refines_loop(fine_groups, coarse_keys):
+    return all(len({coarse_keys[x] for x in xs}) == 1 for xs in fine_groups.values())
+
+
+@pytest.mark.parametrize("R", [1 << e for e in range(11)])
+def test_interval_codes_match_big_int_oracle(R):
+    dens = list(range(2, 400)) + [1008, 1009, 4099]
+    for den in dens:
+        want = [interval_index(num, den, R) for num in range(den)]
+        got = regularity._interval_codes(np.arange(den, dtype=np.int64), den, R)
+        assert got.tolist() == want, (den, R)
+    for den in (100002, 100003):
+        nums = np.random.default_rng(den + R).integers(0, den, 3000)
+        want = [interval_index(int(num), den, R) for num in nums]
+        assert regularity._interval_codes(nums, den, R).tolist() == want, (den, R)
+
+
+@pytest.mark.parametrize("p", [3, 13, 31, 61, 101, 1009])
+def test_atoms_projection_and_refinement_match_loops(p):
+    ctx = cached_field(p)
+    rng = np.random.default_rng(p)
+    f = random_signal(ctx, rng)
+    outcomes = set()
+    for d in range(5):
+        psi = QMSystem.random(ctx, d, rng)
+        coarse = None
+        for R in (1, 2, 8, 32, 1024):
+            atoms = build_atoms(psi, R)
+            keys, groups = atoms_loop(psi, R)
+            assert atoms.keys == keys
+            assert atoms.n_atoms == len(groups)
+            assert list(atoms.groups) == list(groups)
+            for key, xs in groups.items():
+                assert atoms.groups[key].tolist() == xs
+            assert np.max(np.abs(project(atoms, f).values
+                                 - project_loop(groups, f.values))) < 1e-12
+            if coarse is not None:  # a larger R only splits atoms
+                assert refines_loop(groups, coarse.keys) and refines(atoms, coarse)
+                want = refines_loop(coarse.groups, keys)
+                assert refines(coarse, atoms) == want
+                outcomes.add(want)
+            coarse = atoms
+    assert outcomes == {True, False}
+
+
+# -- the KvN loop as it stood before it skipped norms, kept as its oracle ------
+
+def kvn_loop(fs, psi0, delta, R):
+    """(psi, iterations, energy trace, per-x keys): every residual's QM norm
+    each iteration, atoms and projections from the loops above."""
+    max_iter = math.ceil(AUDIT_CONSTANTS["kvn_budget_c"] * len(fs) / delta**2)
+    psi = psi0
+    keys, groups = atoms_loop(psi, R)
+    projections = [project_loop(groups, f.values) for f in fs]
+    trace = [sum(float(np.mean(np.abs(g) ** 2)) for g in projections)]
+    for it in range(max_iter + 1):
+        residuals = [Signal(f.ctx, f.values - g) for f, g in zip(fs, projections)]
+        qms = [norm_qm(h) for h in residuals]
+        worst = int(np.argmax([qm.value for qm in qms]))
+        if qms[worst].value <= delta:
+            return psi, it, trace, keys
+        phi, _ = correlation_system(psi.ctx, *qms[worst].witness)
+        psi = psi.extended(phi.dims)
+        keys, groups = atoms_loop(psi, R)
+        projections = [project_loop(groups, f.values) for f in fs]
+        trace.append(sum(float(np.mean(np.abs(g) ** 2)) for g in projections))
+    raise AssertionError("oracle loop over its budget")
+
+
+def fixture_pair_p61():
+    ctx = cached_field(61)
+    x = np.arange(61)
+    return [Signal(ctx, mult_char_values(ctx, MultChar(1))),
+            Signal(ctx, ctx.roots_p[x * x % 61])]
+
+
+def assert_kvn_matches_loop(res, fs, psi0, delta, R):
+    psi, iterations, trace, keys = kvn_loop(fs, psi0, delta, R)
+    assert res.iterations == iterations
+    assert res.psi.dims == psi.dims
+    assert res.atoms.keys == keys
+    assert len(res.energy_trace) == len(trace)
+    assert np.max(np.abs(np.array(res.energy_trace) - trace)) < 1e-12
+
+
+def test_kvn_fixture_pair_matches_loop():
+    fs = fixture_pair_p61()
+    psi0 = QMSystem(fs[0].ctx, [])
+    assert_kvn_matches_loop(kvn_energy_increment(fs, psi0, 0.3, 32), fs, psi0, 0.3, 32)
+
+
+@pytest.mark.parametrize("p, seed, R", [(31, 0, 32), (31, 1, 8), (31, 2, 4),
+                                        (61, 0, 32), (61, 1, 8), (61, 2, 16)])
+def test_kvn_bounded_pairs_match_loop(p, seed, R):
+    ctx = cached_field(p)
+    rng = np.random.default_rng(seed)
+    fs = [random_signal(ctx, rng, kind="bounded") for _ in range(2)]
+    psi0 = QMSystem(ctx, [])
+    assert_kvn_matches_loop(kvn_energy_increment(fs, psi0, 0.3, R), fs, psi0, 0.3, R)
+
+
+def test_kvn_cli_three_classes_matches_loop(tmp_path):
+    out = tmp_path / "kvn.json"
+    assert main(["kvn", "--r", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    ctx = cached_field(61)
+    rng = np.random.default_rng(0)  # the CLI's default --seed
+    fs = [random_signal(ctx, rng, kind="bounded") for _ in range(3)]
+    psi, iterations, trace, _ = kvn_loop(fs, QMSystem(ctx, []), 0.3, 32)
+    assert report["iterations"] == iterations
+    assert [(dim["a"], dim["k"]) for dim in report["dims"]] == list(psi.dims)
+    assert np.max(np.abs(np.array(report["energy_trace"]) - trace)) < 1e-12
+
+
+def test_kvn_computes_each_needed_qm_norm_once(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return norm_qm(h)
+
+    monkeypatch.setattr(regularity, "norm_qm", counted)
+    fs = fixture_pair_p61()
+    kvn_energy_increment(fs, QMSystem(fs[0].ctx, []), 0.3, 32)
+    assert len(calls) == 3
+
+
+def test_kvn_rejects_a_scale_that_cannot_refine():
+    # R = 1 makes one atom of all of F_p whatever the system, so the
+    # residuals, and the dimensions added for them, would repeat forever
+    ctx = cached_field(31)
+    rng = np.random.default_rng(0)
+    fs = [random_signal(ctx, rng, kind="bounded") for _ in range(2)]
+    with pytest.raises(ValueError, match="R = 1 leaves the partition unchanged"):
+        kvn_energy_increment(fs, QMSystem(ctx, []), 0.3, 1)
 
 
 def test_atoms_d0_single():

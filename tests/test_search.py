@@ -7,9 +7,10 @@ import pytest
 
 from fpharmonics.counting import ROW_BLOCK
 from fpharmonics.field import cached_field
-from fpharmonics.search import (SearchResult, check_interval_coloring,
-                                fp_coloring_scan, interval_backtrack,
-                                interval_patterns, interval_sweep)
+from fpharmonics.search import (SCAN_BUDGET, SearchResult,
+                                check_interval_coloring, fp_coloring_scan,
+                                interval_backtrack, interval_patterns,
+                                interval_sweep)
 
 
 def brute_force_sat(N, r, distinct=False):
@@ -75,8 +76,17 @@ def test_scan_min_at_least_one(rng):
 
 
 def test_scan_budget_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scan budget"):
         fp_coloring_scan(cached_field(31), 3, mode="exhaustive")
+    with pytest.raises(ValueError, match="scan budget"):
+        fp_coloring_scan(cached_field(101), 2, mode="random", count=SCAN_BUDGET // 101**2 + 1)
+
+
+@pytest.mark.parametrize("p", [5, 11, 13, 19])
+def test_scan_budget_admits_the_exhaustive_scans_in_use(p):
+    # the CLI golden (p = 5), the benchmark's scans (11, 13), and p = 19,
+    # about 2 s: the largest two-color exhaustive scan
+    assert 2**p * p**2 <= SCAN_BUDGET < 2**23 * 23**2
 
 
 def test_quadruple_count_monochrome():
