@@ -17,8 +17,9 @@ Fixed (non-calibrated) entries:
   * u3box_weil = 7.0 and u3box_degenerate = 34.0: derived budgets for the
     eight-fold correlation (7 = t-1 at t = 8; 34 = 26 degenerate shift
     planes + 8 for the chi(0) = 1 convention defects).
-  * lipschitz_c = 6*pi: the correlation-finder witness bound uses
-    |F(w) - F(v)| <= 2*pi*(3/R) per atom for F = e(theta1 + theta2') z1.
+  * lipschitz_c = 6*pi: the witness floor that each KvN step's correlating
+    projection asserts uses |F(w) - F(v)| <= 2*pi*(3/R) per atom for
+    F = e(theta1 + theta2') z1.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ AUDIT_CONSTANTS = {
     "lipschitz_c": 6 * math.pi,
     # KvN loop: iteration budget ceil(kvn_budget_c * r / delta^2)
     "kvn_budget_c": 4.0,
-    # correlation finder ratio requirement R >= corr_ratio_C / delta
-    "corr_ratio_C": 16.0,
 }
 
 CALIBRATION_SEED = 20260823

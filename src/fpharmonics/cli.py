@@ -142,14 +142,12 @@ def cmd_transform(args):
 def cmd_count(args):
     from .counting import T, phased_character_example
     ctx = cached_field(args.p)
-    if args.example in ("quadratic-character", "sec2"):
-        f1, f2, f3, f4, expected = phased_character_example(ctx)
-        value = T(f1, f2, f3, f4)
-        if abs(value - expected) > TOL:
-            raise AssertionError(f"T = {value} != expected {expected}")
-        return {"p": args.p, "T": value, "expected": expected,
-                "abs_error": abs(value - expected)}
-    raise ValueError(f"unknown example {args.example!r}")
+    f1, f2, f3, f4, expected = phased_character_example(ctx)
+    value = T(f1, f2, f3, f4)
+    if abs(value - expected) > TOL:
+        raise AssertionError(f"T = {value} != expected {expected}")
+    return {"p": args.p, "T": value, "expected": expected,
+            "abs_error": abs(value - expected)}
 
 
 def cmd_census(args):
@@ -161,9 +159,9 @@ def cmd_census(args):
         # exact ints only: JSON floats and bools would be truncated to colors
         assign = data.get("assign") if isinstance(data, dict) else None
         if not (isinstance(assign, list)
-                and all(type(c) is int and -1 <= c < args.p for c in assign)):
+                and all(type(c) is int and 0 <= c < args.p for c in assign)):
             raise ValueError('a coloring file needs "assign": a list of integer '
-                             f'colors below p = {args.p}')
+                             f'colors 0 <= c < p = {args.p}')
         r = data.get("r", max(assign, default=-1) + 1)
         if type(r) is not int:
             raise ValueError(f'"r" must be an integer, got {r!r}')
@@ -425,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--in", dest="infile", default=None)
     command("transform", cmd_transform, "p", "seed").add_argument(
         "--in", dest="infile", default=None)
-    command("count", cmd_count, "p").add_argument(
-        "--example", default="quadratic-character")
+    command("count", cmd_count, "p")
     command("census", cmd_census, "p", "r", "seed").add_argument(
         "--coloring", default=None)
 

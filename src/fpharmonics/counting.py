@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import FieldCtx, MultChar, mult_char_values, quad_phase_values
-from .harmonic import (Signal, add_transform, difference_spectrum, indicator, norm_qm,
-                       norm_u2_plus, norm_u2_times, norm_u3_plus, require_same_ctx)
+from .harmonic import (Signal, add_transform, difference_spectrum, indicator,
+                       mult_transform, norm_qm, norm_u2_plus, norm_u2_times,
+                       norm_u3_plus, require_same_ctx)
 
 
 ROW_BLOCK = 1 << 16  # entries in one block of the pair table
@@ -103,20 +104,6 @@ def T_tilde(g1: Signal, g2: Signal, g4: Signal) -> complex:
     return complex(total / (ctx.p - 1)**2)
 
 
-def T_boundary_identity(g1: Signal, g2: Signal, g4: Signal) -> complex:
-    """T(g1, g2, 1, g4) reassembled from T_tilde and the x=0 / y=0 rows:
-
-      T = (1/p^2)[ g1(0) g4(0) sum_y g2 + g2(0) g4(0) sum_x g1
-                   - g1(0) g2(0) g4(0) ] + ((p-1)/p)^2 T_tilde(g1, g2, g4).
-    """
-    ctx = require_same_ctx(g1, g2, g4)
-    p = ctx.p
-    border = (g1.values[0] * g4.values[0] * np.sum(g2.values)
-              + g2.values[0] * g4.values[0] * np.sum(g1.values)
-              - g1.values[0] * g2.values[0] * g4.values[0])
-    return complex(border / p**2 + ((p - 1) / p)**2 * T_tilde(g1, g2, g4))
-
-
 def phased_character_example(ctx: FieldCtx) -> tuple:
     """The extremal four-signal family showing T can stay large while the
     inputs have tiny additive and multiplicative spectra:
@@ -134,13 +121,6 @@ def phased_character_example(ctx: FieldCtx) -> tuple:
     f4 = Signal(ctx, quad_phase_values(ctx, 0, 2) * np.conj(chi))
     expected = ((p - 1) ** 2 + 1) / p**2
     return f12, f12, f3, f4, expected
-
-
-def mult_inner_star(f: Signal) -> np.ndarray:
-    """|E_{x in F*} f(x) conj(chi_k(x))| for all k (no x=0 term)."""
-    ctx = f.ctx
-    h = f.values[ctx.pow_g]
-    return np.abs(np.fft.fft(h)) / (ctx.p - 1)
 
 
 def differencing_sup(f: Signal) -> float:
@@ -163,24 +143,19 @@ def differencing_sup(f: Signal) -> float:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total or partial coloring of {0..n-1}; UNASSIGNED entries are -1."""
+    """Coloring of {0..n-1}: assign[x] is the color of x, in 0..r-1."""
 
     n: int
     r: int
     assign: np.ndarray
-
-    UNASSIGNED = -1
 
     def __post_init__(self):
         arr = np.asarray(self.assign, dtype=np.int64)
         object.__setattr__(self, "assign", arr)
         if arr.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got {arr.shape}")
-        if np.any(arr >= self.r) or np.any(arr < self.UNASSIGNED):
+        if np.any(arr >= self.r) or np.any(arr < 0):
             raise ValueError("color id out of range")
-
-    def is_total(self) -> bool:
-        return bool(np.all(self.assign >= 0))
 
 
 @dataclass(frozen=True)
@@ -220,8 +195,6 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
         raise ValueError("coloring domain is not F_p")
     if c.r > ctx.p:
         raise ValueError(f"{c.r} colors on F_{ctx.p}: at most p classes can be used")
-    if not c.is_total():
-        raise ValueError("partial coloring rejected; census needs a total coloring")
     per_x = monochromatic_counts(ctx, c.assign)
     per = [int(per_x[c.assign == i].sum()) for i in range(c.r)]
     return QuadrupleCensus(p=ctx.p, r=c.r, per_color=tuple(per), total=sum(per))
@@ -355,7 +328,9 @@ def check_u2times_star_bound(g1: Signal, g2: Signal, g4: Signal) -> MarginReport
     for i, g in zip((1, 2, 4), (g1, g2, g4)):
         _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
     lhs = abs(T_tilde(g1, g2, g4))
-    sups = [float(np.max(mult_inner_star(g))) for g in (g1, g2, g4)]
+    # |E_{x in F*} g conj(chi_k)| = |p <g, chi_k> - g(0)| / (p - 1)
+    sups = [float(np.max(np.abs(p * mult_transform(g).coeffs - g.values[0]))) / (p - 1)
+            for g in (g1, g2, g4)]
     return MarginReport.check("u2times_star", lhs, p / (p - 1) * min(sups), star_sups=sups)
 
 

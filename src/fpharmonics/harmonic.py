@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .field import FieldCtx, MultChar, cached_field, mult_char_values, quad_phase_values
+from .field import FieldCtx, cached_field
 
 
 @dataclass(frozen=True)
@@ -227,17 +227,7 @@ def inner_product(f: Signal, g: Signal) -> complex:
     return complex(np.mean(f.values * np.conj(g.values)))
 
 
-def qm_basis_signal(ctx: FieldCtx, r: int, s: int, k: int) -> Signal:
-    """The product e_p(r x^2 + s x) * chi_k(x) as a Signal."""
-    return Signal(ctx, quad_phase_values(ctx, r, s)
-                  * mult_char_values(ctx, MultChar(k)))
-
-
 # -- JSON interchange ------------------------------------------------------
-
-def signal_to_json(f: Signal) -> dict:
-    return {"p": f.p, "values": [[float(v.real), float(v.imag)] for v in f.values]}
-
 
 def signal_from_json(obj: dict, ctx: Optional[FieldCtx] = None) -> Signal:
     p = int(obj["p"])

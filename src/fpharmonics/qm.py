@@ -63,54 +63,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def circ_norm(num: int, den: int) -> Fraction:
-    """||num/den||_{R/Z} = min(num mod den, den - num mod den)/den, exact."""
-    n = num % den
-    return Fraction(min(n, den - n), den)
-
-
-@dataclass(frozen=True)
-class GPoint:
-    """A point of G^d on a QM orbit closure, with exact rational angles.
-
-    th1, th2 are numerator tuples over denominator p; v is a numerator
-    tuple over denominator p-1 (the S^1 coordinate as an angle).
-    """
-
-    p: int
-    th1: tuple
-    th2: tuple
-    v: tuple
-
-    @property
-    def d(self) -> int:
-        return len(self.th1)
-
-    def metric(self) -> Fraction:
-        """|.| on G^d: max over all 3d circle coordinates."""
-        p, q = self.p, self.p - 1
-        best = Fraction(0)
-        for i in range(self.d):
-            best = max(best, circ_norm(self.th1[i], p),
-                       circ_norm(self.th2[i], p), circ_norm(self.v[i], q))
-        return best
-
-    def sub(self, other: "GPoint") -> "GPoint":
-        if self.p != other.p or self.d != other.d:
-            raise ValueError("GPoint mismatch")
-        p, q = self.p, self.p - 1
-        return GPoint(p,
-                      tuple((a - b) % p for a, b in zip(self.th1, other.th1)),
-                      tuple((a - b) % p for a, b in zip(self.th2, other.th2)),
-                      tuple((a - b) % q for a, b in zip(self.v, other.v)))
-
-    def fractions(self):
-        """The 3d coordinates as exact Fractions in [0,1)."""
-        p, q = self.p, self.p - 1
-        return tuple((Fraction(t1 % p, p), Fraction(t2 % p, p), Fraction(w % q, q))
-                     for t1, t2, w in zip(self.th1, self.th2, self.v))
-
-
 @dataclass(frozen=True)
 class QMSystem:
     """Dimension-d system of pairs (a_i, k_i), reduced mod p and mod p-1."""
@@ -135,11 +87,6 @@ class QMSystem:
     def k_vec(self) -> tuple:
         return tuple(k for _, k in self.dims)
 
-    def extends(self, other: "QMSystem") -> bool:
-        """Prefix relation: self extends other."""
-        return (self.ctx.p == other.ctx.p and self.d >= other.d
-                and self.dims[:other.d] == other.dims)
-
     def extended(self, extra_dims) -> "QMSystem":
         return QMSystem(self.ctx, self.dims + tuple(extra_dims))
 
@@ -154,18 +101,6 @@ class QMSystem:
             raise ValueError(f"need 0 <= d <= (p-1)^2 = {(ctx.p - 1) ** 2}, got {d}")
         return QMSystem(ctx, [(int(rng.integers(1, ctx.p)), int(rng.integers(0, ctx.p - 1)))
                               for _ in range(d)])
-
-
-def eval_system(psi: QMSystem, x: int) -> GPoint:
-    """Psi(x) with exact rational coordinates; psi_i(0) = 1 so v = 0 at x = 0."""
-    ctx = psi.ctx
-    p = ctx.p
-    x = int(x) % p
-    dl = int(ctx.dlog[x]) if x != 0 else 0
-    return GPoint(p,
-                  tuple(a * x * x % p for a in psi.a_vec),
-                  tuple(2 * a * x % p for a in psi.a_vec),
-                  tuple(k * dl % (p - 1) if x != 0 else 0 for k in psi.k_vec))
 
 
 def orbit_arrays(psi: QMSystem):
@@ -255,12 +190,6 @@ class TrigPoly:
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def constant(d: int) -> "TrigPoly":
-        """The constant 1."""
-        z = tuple([0] * d)
-        return TrigPoly(d, {(z, z, z): 1.0})
-
-    @staticmethod
     def random(d: int, rng: np.random.Generator, n_terms: int = 3,
                max_freq: int = 1) -> "TrigPoly":
         """n_terms distinct frequency triples in [-max_freq, max_freq]^{3d}
@@ -276,18 +205,6 @@ class TrigPoly:
         total = sum(abs(c) for c in terms.values())
         scale = 1.5 / total if total > 0 else 1.0
         return TrigPoly(d, {k: c * scale for k, c in terms.items()})
-
-    def shifted(self, h: GPoint) -> "TrigPoly":
-        """T_h F(x) = F(x + h): each coefficient picks up a unit phase."""
-        p, q = h.p, h.p - 1
-        out = {}
-        for (x1, x2, x3), c in self.terms.items():
-            n1 = sum(a * b for a, b in zip(x1, h.th1)) % p
-            n2 = sum(a * b for a, b in zip(x2, h.th2)) % p
-            n3 = sum(a * b for a, b in zip(x3, h.v)) % q
-            phase = np.exp(2j * np.pi * (n1 / p + n2 / p + n3 / q))
-            out[(x1, x2, x3)] = c * phase
-        return TrigPoly(self.d, out)
 
 
 def trig_norm(F: TrigPoly) -> float:

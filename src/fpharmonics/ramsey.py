@@ -111,10 +111,6 @@ class FiniteGroup:
         return list(zip(*(d.tolist() for d in np.unravel_index(codes, self.factors))))
 
 
-def cyclic(n: int) -> FiniteGroup:
-    return FiniteGroup((n,))
-
-
 def boolean_cube(r: int) -> FiniteGroup:
     return FiniteGroup((2,) * r)
 
@@ -155,16 +151,13 @@ class _Differences:
 
 
 def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
-             distinct: bool = False, method: str = "tables") -> Fraction:
+             method: str = "tables") -> Fraction:
     """Triple density of A over T, an exact rational with denominator |T|^5.
 
-    With distinct=True the three pair-points (t1, u), (t2, u), (t3, t2-t1)
-    are required to be pairwise distinct, matching the combinatorial model
-    statement; the default counts all configurations, matching the integral.
-
-    method: "tables" (the pair-degree factorization) or "direct" (the
-    defining quintuple sum, the oracle, for |T|^5 <= 10^9 and
-    distinct=False only).  T must hold distinct group elements.
+    Every configuration counts, repeated pair-points included, as in the
+    integral.  method: "tables" (the pair-degree factorization) or
+    "direct" (the defining quintuple sum, the oracle, for |T|^5 <= 10^9).
+    T must hold distinct group elements.
     """
     T = list(T)
     index = _Differences(group, T)
@@ -174,11 +167,9 @@ def lambda_T(group: FiniteGroup, T: Sequence[Element], A: Iterable[Pair],
             raise ValueError(
                 f"|T|^5 = {n**5} exceeds the direct budget {DIRECT_BUDGET}; "
                 "use the pair-degree tables")
-        if distinct:
-            raise ValueError("distinct counting is only provided via tables")
         num = _lambda_direct(group, T, set(A))
     elif method == "tables":
-        num = _lambda_tables(index, index.mask(A), distinct)
+        num = _lambda_tables(index, index.mask(A))
     else:
         raise ValueError(f"unknown method {method!r}")
     return Fraction(num, n**5)
@@ -217,28 +208,20 @@ def _lambda_direct(group: FiniteGroup, T: list, A: set) -> int:
     return count
 
 
-def _lambda_tables(index: _Differences, M: np.ndarray, distinct: bool) -> int:
+def _lambda_tables(index: _Differences, M: np.ndarray) -> int:
     """Pair-degree factorization of the numerator of Lambda_T: the sum over
     u of N(u) times the number of (t1, t2) pairs in the u-column of A, each
     weighted by the degree deg(t2 - t1) = #{t3 : (t3, t2 - t1) in A}.
 
     With M the T x (T - T) mask of A this is the sum of W * V over T x T,
     where W = M diag(N) M^T and V[a, b] = deg(T[b] - T[a]): integer array
-    algebra (no BLAS), over only the rows and columns that A touches.
-    distinct drops t1 = t2 and, where T[b] - T[a] = u, the two choices
-    t3 in {t1, t2} whose (t3, u) repeats a point."""
+    algebra (no BLAS), over only the rows and columns that A touches."""
     deg = M.sum(axis=0)
     rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(deg)
     Mr = M[rows]
     W = np.einsum("ik,jk->ij", Mr[:, cols] * index.N[cols], Mr[:, cols])
     C = index.D.T[np.ix_(rows, rows)]  # C[a, b] = column of T[b] - T[a]
     num = W * deg[C]
-    if distinct:
-        np.fill_diagonal(num, 0)
-        k = np.arange(len(rows))
-        repeat = Mr[k[:, None], C] & Mr[k[None, :], C]
-        np.fill_diagonal(repeat, False)
-        num -= 2 * index.N[C] * repeat
     return sum(num.sum(axis=1).tolist())
 
 
@@ -277,9 +260,6 @@ class PairColoring:
     def r(self) -> int:
         return len(self.classes)
 
-    def domain(self) -> frozenset:
-        return frozenset((t, u) for t in self.T for u in self._index.diffs)
-
     def uncolored(self) -> frozenset:
         rows, cols = np.nonzero(~self._masks.any(axis=0))
         diffs = self._index.diffs
@@ -290,8 +270,8 @@ class PairColoring:
         """delta_T(A) = #{(t, t1, t2) in T^3 : (t, t1-t2) in A} / |T|^3."""
         return self._index.density(self._index.mask(A))
 
-    def lam(self, color: int, distinct: bool = False) -> Fraction:
-        return Fraction(_lambda_tables(self._index, self._masks[color], distinct),
+    def lam(self, color: int) -> Fraction:
+        return Fraction(_lambda_tables(self._index, self._masks[color]),
                         len(self.T) ** 5)
 
     def _restrict(self, T: tuple) -> "PairColoring":
@@ -533,33 +513,3 @@ def _rich_color_recursive(col: PairColoring, colors: list):
     remaining = [i for i in colors if i != i_star]
     return _rich_color_recursive(restricted, remaining)
 
-
-def grid_triple_search(coloring: np.ndarray, N: int | None = None):
-    """Monochromatic (t1, u), (t2, u), (t3, t2 - t1) with distinct points
-    in a coloring of [N] x [N] (1-based coordinates), or None.
-
-    coloring[t - 1, u - 1] is the color of (t, u).  O(N^3) via per-color
-    membership on the third point.
-    """
-    arr = np.asarray(coloring)
-    if N is None:
-        N = arr.shape[0]
-    if arr.shape != (N, N):
-        raise ValueError("coloring must be an N x N array")
-    if N > 200:
-        raise ValueError("N capped at 200")
-    for t1 in range(1, N + 1):
-        for t2 in range(t1 + 1, N + 1):
-            v = t2 - t1
-            for u in range(1, N + 1):
-                color = arr[t1 - 1, u - 1]
-                if arr[t2 - 1, u - 1] != color:
-                    continue
-                for t3 in range(1, N + 1):
-                    if arr[t3 - 1, v - 1] != color:
-                        continue
-                    if v == u and t3 in (t1, t2):
-                        continue
-                    return {"t1": t1, "t2": t2, "t3": t3, "u": u,
-                            "color": int(color)}
-    return None

@@ -7,13 +7,6 @@ coordinate num/den (0 <= num < den) lies in interval t = floor(R num/den
 den^2) = floor(R den sqrt2) the numerator R num - R den sqrt2 lies strictly
 between R num - K - 1 and R num - K, and t = (R num - K - 1) // den mod R:
 exact int64 array arithmetic, and no coordinate ever sits on an endpoint.
-
-    sqrt2 endpoint certificate: the distance from R*theta - R*sqrt2 to the
-    nearest integer is at least ||R*den*sqrt2|| / den >= 1/(3*R*den^2)
-    >= 1/(3 * 2^10 * 10^10) > 3e-14, using ||m sqrt2|| >= 1/(3m) (verified
-    exhaustively by check_sqrt2_gap).  So a floating-point floor of
-    R*(num/den - sqrt2) also decides membership correctly at every p and R
-    the field tables admit; the exact codes above do not rely on it.
 """
 
 from __future__ import annotations
@@ -87,12 +80,14 @@ def build_atoms(psi: QMSystem, R: int) -> PartitionAtoms:
     th1, th2, v = orbit_arrays(psi)
     codes = np.concatenate([_interval_codes(th1, p, R), _interval_codes(th2, p, R),
                             _interval_codes(v, p - 1, R)], axis=1)
-    rows, first, inverse = np.unique(codes, axis=0, return_index=True,
-                                     return_inverse=True)
+    # each (contiguous) code row as one opaque item, so np.unique sorts p
+    # items instead of lexsorting 3d columns; a 0-byte item serves d = 0
+    rows = np.ndarray(p, dtype=(np.void, codes.itemsize * codes.shape[1]), buffer=codes)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return PartitionAtoms(psi, R, rank[inverse.ravel()], rows[order])
+    return PartitionAtoms(psi, R, rank[inverse], codes[first[order]])
 
 
 def project(atoms: PartitionAtoms, f: Signal) -> Signal:
@@ -136,23 +131,19 @@ class QuadDecomposition:
                 "residual_u3": self.residual_u3}
 
 
-def quad_decompose(f: Signal, eps: float,
-                   enforce_eps_bound: bool = False) -> QuadDecomposition:
+def quad_decompose(f: Signal, eps: float) -> QuadDecomposition:
     """Keep lambda_phi = <f, phi> exactly when |<f, phi>| >= eps/2.
 
     Requires ||f||_2 <= 1.  The lemma's hypothesis eps >= 4 p^{-1/8} is
-    only enforced when enforce_eps_bound is set: at desk-scale p that
-    threshold exceeds 1, yet the four conclusions (residual u3+ <= eps,
-    energy <= 3, mass <= 4/eps, support <= 8/eps^2) are still checked and
-    asserted on every accepted input.
+    not required: at desk-scale p that threshold exceeds 1, so instead the
+    four conclusions (residual u3+ <= eps, energy <= 3, mass <= 4/eps,
+    support <= 8/eps^2) are checked and asserted on every accepted input.
     """
     p = f.p
     if not 0 < eps < math.inf:
         raise ValueError(f"eps={eps} must be positive and finite")
     if f.lp_norm(2) > 1 + TOL:
         raise ValueError("||f||_2 > 1")
-    if enforce_eps_bound and eps < 4 * p ** (-1 / 8):
-        raise ValueError(f"eps={eps} too small for p={p} (need >= 4 p^-1/8)")
     inner = quad_phase_inner_products(f)
     keep = np.abs(inner) >= eps / 2
     lambdas = {(int(r), int(s)): complex(inner[r, s])
@@ -204,24 +195,11 @@ def correlation_system(ctx: FieldCtx, r: int, s: int, k: int) -> tuple:
     return phi, F
 
 
-def find_correlating_projection(f: Signal, delta: float, R: int):
-    """From the QM-norm maximizer of f, build the 2-dimensional system Phi
-    and g = F o Phi, and certify |<f, Pi_R^Phi g>| >= delta - c ||f||_1 / R
-    with c = 6*pi (the Lipschitz budget of F over one atom).
-
-    Requires ||f||_inf <= 1 and R >= corr_ratio_C / delta.  Returns
-    (Phi, g, witness, atoms).
-    """
-    if f.linf_norm() > 1 + TOL:
-        raise ValueError("||f||_inf > 1")
-    ratio_C = AUDIT_CONSTANTS["corr_ratio_C"]
-    if R < ratio_C / delta:
-        raise ValueError(f"R={R} below required ratio {ratio_C}/delta")
-    return _correlating_projection(f, norm_qm(f), delta, R)
-
-
 def _correlating_projection(f: Signal, qm: NormResult, delta: float, R: int):
-    """find_correlating_projection past its input checks, from f's QM norm."""
+    """From f's QM norm and maximizer, build the 2-dimensional system Phi
+    and g = F o Phi, and certify |<f, Pi_R^Phi g>| >= delta - c ||f||_1 / R
+    with c = 6*pi (the Lipschitz budget of F over one atom).  Requires
+    ||f||_QM >= delta.  Returns (Phi, g, witness, atoms)."""
     if qm.value < delta:
         raise ValueError(f"||f||_QM = {qm.value:.4f} < delta = {delta}")
     r, s, k = qm.witness
@@ -404,10 +382,6 @@ class SmoothBox:
     def ceiling(self) -> float:
         return 1.0 + self.eps / (10 * self.R ** (3 * self.d))
 
-    @property
-    def off_ceiling(self) -> float:
-        return self.eps / (10 * self.R ** (3 * self.d))
-
     def trig_norm(self) -> float:
         if self.d == 0:
             return 1.0
@@ -463,31 +437,3 @@ def smooth_majorant(atoms: PartitionAtoms, f: Signal, eps: float):
             box = smooth_box_approx(atoms.psi.d, atoms.R, *key, eps=eps)
             out.append((lam, box))
     return out
-
-
-# -- sqrt2 gap ------------------------------------------------------------------
-
-def check_sqrt2_gap(m_max: int = 10**6) -> dict:
-    """Verify ||m sqrt2||_{R/Z} >= 1/(3m) for 1 <= m <= m_max, exactly: the
-    endpoint gap of the module docstring, which float interval oracles rely on.
-
-    For each m the two integer candidates around m*sqrt2 are k = isqrt(2m^2)
-    and k+1; the condition |m sqrt2 - k| >= 1/(3m) squares to a pure
-    integer comparison (18 m^4 vs (3mk +- 1)^2).  Checking both candidates
-    covers the nearest integer, which subsumes the continued-fraction
-    convergent argument (convergents are where the minima occur).
-    """
-    worst_m, worst_margin = 0, None
-    for m in range(1, m_max + 1):
-        k = math.isqrt(2 * m * m)
-        # below: m*sqrt2 - k >= 1/(3m)  <=>  18 m^4 >= (3mk + 1)^2
-        if 18 * m**4 < (3 * m * k + 1) ** 2:
-            raise AssertionError(f"sqrt2 gap violated at m={m} (below)")
-        # above: (k+1) - m*sqrt2 >= 1/(3m)  <=>  (3m(k+1) - 1)^2 >= 18 m^4
-        if (3 * m * (k + 1) - 1) ** 2 < 18 * m**4:
-            raise AssertionError(f"sqrt2 gap violated at m={m} (above)")
-        margin = min(m * math.sqrt(2) - k, k + 1 - m * math.sqrt(2)) * 3 * m
-        if worst_margin is None or margin < worst_margin:
-            worst_m, worst_margin = m, margin
-    return {"m_max": m_max, "violations": 0,
-            "worst_m": worst_m, "worst_ratio": worst_margin}

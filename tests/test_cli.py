@@ -27,7 +27,6 @@ ALL_GREEN = [
     ["norms", "--p", "13", "--seed", "3"],
     ["transform", "--p", "13", "--seed", "3"],
     ["count", "--p", "13"],
-    ["count", "--p", "13", "--example", "sec2"],
     ["census", "--p", "7", "--r", "2", "--seed", "1"],
     ["scan", "--p", "5", "--r", "2"],
     ["bohr", "--p", "13", "--d", "1", "--eps", "0.4"],
@@ -35,6 +34,7 @@ ALL_GREEN = [
     ["countlemma", "--p", "31", "--d", "1", "--eps", "0.3", "--seed", "2"],
     ["decompose", "--p", "61", "--eps", "0.5", "--seed", "4"],
     ["kvn", "--p", "61", "--delta", "0.3", "--R", "32"],
+    ["kvn", "--p", "31", "--delta", "0.3", "--R", "32"],  # one iteration
     ["ramsey", "--r", "2"],
     ["drc", "--seed", "5"],
     ["charsum", "--p", "31", "--seed", "6"],
@@ -141,7 +141,9 @@ def test_census_with_coloring_file(tmp_path, capsys):
     ({"assign": [0.5, 1.7, 0, 1, 0, 1, 0]}, "integer colors"),
     ({"assign": [True, False, True, False, True, False, True]}, "integer colors"),
     ({"assign": [0, 1, 0, 1, 0, 1, 0], "r": 2.5}, '"r" must be an integer'),
-], ids=("no-assign", "bare-list", "float-entries", "bool-entries", "float-r"))
+    ({"assign": [-1, 0, 1, 0, 1, 0, 1]}, "integer colors"),
+], ids=("no-assign", "bare-list", "float-entries", "bool-entries", "float-r",
+        "negative-color"))
 def test_census_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys):
     path = tmp_path / "col.json"
     path.write_text(json.dumps(coloring))

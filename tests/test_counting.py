@@ -11,8 +11,8 @@ from pathlib import Path
 
 import fpharmonics
 from fpharmonics.counting import (ROW_BLOCK, Coloring, HypothesisError, T,
-                                  T_boundary_identity, T_spectral_sums,
-                                  T_tilde, census_quadruples, census_triples,
+                                  T_spectral_sums, T_tilde,
+                                  census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
                                   check_u2times_star_bound, differencing_sup,
                                   monochromatic_counts,
@@ -66,13 +66,6 @@ def test_T_tilde_ones():
     ctx = cached_field(11)
     one = ones(ctx)
     assert T_tilde(one, one, one) == pytest.approx(1)
-
-
-def test_boundary_identity(rng):
-    ctx = cached_field(13)
-    g1, g2, g4 = (random_signal(ctx, rng) for _ in range(3))
-    assert T_boundary_identity(g1, g2, g4) == pytest.approx(
-        T(g1, g2, ones(ctx), g4), abs=1e-10)
 
 
 def test_census_monochrome():
@@ -314,7 +307,6 @@ def test_counting_kernels_build_no_grid(monkeypatch, oracle_signals, rng):
     c = rng.integers(0, 3, 13)
     T(f1, f2, f3, f4)
     T_tilde(f1, f2, f4)
-    T_boundary_identity(f1, f2, f4)
     monochromatic_counts(ctx, c)
     census_quadruples(ctx, Coloring(13, 3, c))
     for kind in TRIPLE_KINDS:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,71 @@ def test_one_float_tolerance():
                     tol_params.append((path.name, node.name))
     assert [name for name, _ in literals] == ["counting.py"], literals
     assert tol_params == []
+
+
+# -- no public name that only tests reach -----------------------------------------
+
+REPO_DIR = PACKAGE_DIR.parent.parent
+# public names kept for an open ROADMAP item that will give them a caller
+ROADMAP_OWNED = {
+    "calibration.calibrate_gvn3": 4,
+    "calibration.calibrate_gvnqm": 4,
+    "calibration.calibrate_mixed_sum": 4,
+    "calibration.calibrate_countlemma": 4,
+    "qm.check_pigeon_projection": 7,
+    "regularity.smooth_majorant": 7,
+}
+
+
+def public_definitions(tree):
+    """(qualified name, node) for each public module-level function and
+    class, and each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def referenced_names(tree, skip=None, strings=False) -> set:
+    """Every Name id and Attribute attr in tree outside the subtree skip,
+    plus (with strings) each identifier inside a string constant."""
+    names = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a caller is src/ outside the name's own definition, demos/, or
+    # perfbench/, whose tracer finds the functions it times by name strings
+    sources = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    outside = set()
+    for path in sorted((REPO_DIR / "demos").rglob("*.py")):
+        outside |= referenced_names(ast.parse(path.read_text()))
+    for path in sorted((REPO_DIR / "perfbench").rglob("*.py")):
+        outside |= referenced_names(ast.parse(path.read_text()), strings=True)
+    in_module = {path: referenced_names(tree) for path, tree in sources.items()}
+    unreached = []
+    for path, tree in sources.items():
+        for qualname, node in public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in outside or any(name in names for other, names in in_module.items()
+                                      if other != path):
+                continue
+            if name not in referenced_names(tree, skip=node):
+                unreached.append(f"{path.stem}.{qualname}")
+    # a ROADMAP-owned name that gains a caller leaves the list too
+    assert sorted(unreached) == sorted(ROADMAP_OWNED)
