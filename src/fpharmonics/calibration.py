@@ -25,6 +25,7 @@ Fixed (non-calibrated) entries:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,10 +42,11 @@ AUDIT_CONSTANTS = {
     # p in {31, 61, 101}, seed 20260823: worst observed 0.9804, doubled.
     "gvnqm_C": 2.0,
     # counting lemma: shared C for margin <= C*(eps*mu(S)*M^4 + M^{9d}/sqrt(p)),
-    # seeded suite p in {31, 61, 101}, d in {1, 2}, eps in {0.3, 0.5},
-    # seed 20260823: worst observed ratio 0.01741, doubled.
-    "countlemma_C1": 0.04,
-    "countlemma_C2": 0.04,
+    # seeded suite p in {5, 13, 17, 31, 61, 101}, d in {1, 2},
+    # eps in {3/10, 1/2}, 100 draws per cell (2,400), seed 20260823: worst
+    # observed ratio 0.06007 (p = 5, d = 1, eps = 1/2), doubled.
+    "countlemma_C1": 0.1202,
+    "countlemma_C2": 0.1202,
     # mixed quadratic x multiplicative sums: max observed magnitude * p^{1/16},
     # 300 draws over p in {31, 61, 101}, seed 20260823: worst 0.4377, doubled.
     "mixed_sum_c": 0.88,
@@ -83,25 +85,24 @@ def calibrate_gvnqm():
 
     The suite mixes 120 random bounded signals with the structured
     phased-character family, whose T value stays near 1 while all four
-    QM norms equal 1; the structured instances dominate the ratio."""
-    from .counting import T, phased_character_example
+    QM norms equal 1; the structured instances dominate the ratio.  The
+    infimum is counting.gvnqm_inf's, so the bounded instances, whose
+    ||f||_1 settles it, take no QM sup."""
+    from .counting import T, gvnqm_inf, phased_character_example
     from .field import cached_field
-    from .harmonic import norm_qm, random_signal
+    from .harmonic import random_signal
     rng = np.random.default_rng(CALIBRATION_SEED)
     worst = 0.0
 
-    def ratio(fs, p):
-        t = abs(T(*fs))
-        denom = min(max(p**(-1 / 64), norm_qm(f).value**(1 / 5)) for f in fs)
-        return t / denom
+    def ratio(fs):
+        return abs(T(*fs)) / gvnqm_inf(fs)[0]
 
     for p in (31, 61, 101):
         ctx = cached_field(p)
-        f1, f2, f3, f4, _ = phased_character_example(ctx)
-        worst = max(worst, ratio([f1, f2, f3, f4], p))
+        worst = max(worst, ratio(phased_character_example(ctx)[:4]))
         for _ in range(120 // 3):
             fs = [random_signal(ctx, rng, kind="bounded") for _ in range(4)]
-            worst = max(worst, ratio(fs, p))
+            worst = max(worst, ratio(fs))
     return worst
 
 
@@ -129,24 +130,23 @@ def calibrate_mixed_sum():
 
 def calibrate_countlemma():
     """Worst observed margin / (eps*mu(S)*M^4 + M^{9d}/sqrt(p)) over the
-    fixed suite p in {31, 61, 101}, d in {1, 2}, eps in {0.3, 0.5}.  Each
-    instance passes the asserted budget, whose worst ratio (0.0174) is
-    under C = 0.04."""
+    fixed suite p in {5, 13, 17, 31, 61, 101}, d in {1, 2},
+    eps in {3/10, 1/2}, 100 draws per cell.  The ratios are read from the
+    unchecked terms, so the suite measures its instances whatever the
+    constants in force."""
     from .field import cached_field
-    from .qm import QMSystem, TrigPoly, bohr_set, counting_lemma_check
+    from .qm import QMSystem, TrigPoly, bohr_set, counting_lemma_margin
     rng = np.random.default_rng(CALIBRATION_SEED)
     worst = 0.0
-    for p in (31, 61, 101):
+    for p in (5, 13, 17, 31, 61, 101):
         ctx = cached_field(p)
         for d in (1, 2):
-            for eps in (0.3, 0.5):
-                for _ in range(6):
+            for eps in (Fraction(3, 10), Fraction(1, 2)):
+                for _ in range(100):
                     psi = QMSystem.random(ctx, d, rng)
                     F = TrigPoly.random(d, rng, n_terms=3, max_freq=1)
-                    S = bohr_set(psi, eps)
-                    rep = counting_lemma_check(psi, F, S, eps)
-                    budget = (rep.details["budget_eps"]
-                              + rep.details["budget_p"])
-                    worst = max(worst, rep.lhs / budget)
+                    terms = counting_lemma_margin(psi, F, bohr_set(psi, eps), eps)
+                    worst = max(worst, terms["margin"]
+                                / (terms["budget_eps"] + terms["budget_p"]))
     return worst
 

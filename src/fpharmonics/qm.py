@@ -448,10 +448,11 @@ def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:
     return complex(total / H.size ** 2)
 
 
-def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps) -> MarginReport:
-    """|T(F o Psi, 1_S, F o Psi, F o Psi) - mu(S) I(F)| against the audited
-    budget C1 * eps * mu(S) * M^4 + C2 * M^{9d} / sqrt(p), for S inside
-    the Bohr set B(Psi, eps)."""
+def counting_lemma_margin(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps) -> dict:
+    """The counting lemma's unchecked terms, for S inside the Bohr set
+    B(Psi, eps): margin = |T(F o Psi, 1_S, F o Psi, F o Psi) - mu(S) I(F)|,
+    T, I, mu_S, M = trig_norm(F), budget_eps = eps * mu(S) * M^4 and
+    budget_p = M^{9d} / sqrt(p)."""
     eps_f = as_fraction(eps)
     S = sorted(set(int(x) % psi.ctx.p for x in S))
     B = set(bohr_set(psi, eps_f))
@@ -467,8 +468,17 @@ def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps) -> M
     M = trig_norm(F)
     budget_eps = float(eps_f) * mu_S * M**4
     budget_p = M ** (9 * psi.d) / np.sqrt(p)
+    return {"margin": margin, "T": lhs_T, "I": I, "mu_S": mu_S, "M": M,
+            "budget_eps": budget_eps, "budget_p": budget_p}
+
+
+def counting_lemma_check(psi: QMSystem, F: TrigPoly, S: Iterable[int], eps) -> MarginReport:
+    """The counting lemma's margin against the audited budget
+    C1 * eps * mu(S) * M^4 + C2 * M^{9d} / sqrt(p) (see counting_lemma_margin)."""
+    terms = counting_lemma_margin(psi, F, S, eps)
+    margin = terms.pop("margin")
     C1 = AUDIT_CONSTANTS["countlemma_C1"]
     C2 = AUDIT_CONSTANTS["countlemma_C2"]
-    return MarginReport.check("counting_lemma", margin, C1 * budget_eps + C2 * budget_p,
-                              T=lhs_T, I=I, mu_S=mu_S, M=M, budget_eps=budget_eps,
-                              budget_p=budget_p, C1=C1, C2=C2)
+    return MarginReport.check("counting_lemma", margin,
+                              C1 * terms["budget_eps"] + C2 * terms["budget_p"],
+                              **terms, C1=C1, C2=C2)

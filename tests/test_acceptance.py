@@ -198,7 +198,8 @@ def test_counting_integral_dual_agreement():
 
 
 def test_counting_lemma_margin_budget():
-    # the fixed seeded suite the budget constants were calibrated on
+    # the 72-draw suite the budget constants were first calibrated on;
+    # calibration.calibrate_countlemma holds the suite they come from now
     rng = _rng()
     for p in (31, 61, 101):
         ctx = cached_field(p)

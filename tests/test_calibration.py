@@ -12,7 +12,7 @@ SUITES = {
     "gvn3": (calibrate_gvn3, 0.0, 4, ("gvn3_C",)),
     "gvnQM": (calibrate_gvnqm, 0.9804, 4, ("gvnqm_C",)),
     "mixed": (calibrate_mixed_sum, 0.4377, 4, ("mixed_sum_c",)),
-    "countlemma": (calibrate_countlemma, 0.01741, 5, ("countlemma_C1", "countlemma_C2")),
+    "countlemma": (calibrate_countlemma, 0.06007, 5, ("countlemma_C1", "countlemma_C2")),
 }
 
 

@@ -93,6 +93,16 @@ def test_counting_goldens_build_no_grid(tmp_path, monkeypatch, capsys):
                               json.loads(golden_path(argv).read_text()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "5"],
+    ["countlemma", "--p", "17"],
+    ["countlemma", "--p", "5"],
+])
+def test_counting_lemma_budget_holds_at_small_p(argv, tmp_path, capsys):
+    # each failed the 0.04 budget calibrated at p in {31, 61, 101} alone
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+
+
 def test_out_creates_missing_parent_directories(tmp_path, capsys):
     out = tmp_path / "a" / "b" / "report.json"
     assert main(["count", "--p", "13", "--out", str(out)]) == 0

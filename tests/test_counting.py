@@ -10,6 +10,8 @@ import textwrap
 from pathlib import Path
 
 import fpharmonics
+from fpharmonics import counting, harmonic
+from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.counting import (ROW_BLOCK, Coloring, HypothesisError, T,
                                   T_spectral_sums, T_tilde,
                                   census_quadruples, census_triples,
@@ -153,6 +155,51 @@ def test_gvn3_and_qm_bounds(rng):
         f3 = random_signal(ctx, rng, kind="bounded")
         assert check_gvn_bounds(f1, f2, f3, f4, which="gvn3").ok()
         assert check_gvn_bounds(f1, f2, f4, f4, which="gvnQM").ok()
+
+
+def test_gvnqm_on_bounded_signals_takes_no_qm_sup(rng, monkeypatch):
+    def no_qm_sup(f):
+        raise AssertionError("norm_qm called")
+
+    monkeypatch.setattr(counting, "norm_qm", no_qm_sup)
+    p = 101
+    ctx = cached_field(p)
+    for _ in range(5):
+        fs = [random_signal(ctx, rng, kind="bounded") for _ in range(4)]
+        rep = check_gvn_bounds(*fs, which="gvnQM")
+        assert rep.rhs == AUDIT_CONSTANTS["gvnqm_C"] * p**(-1 / 64)
+        assert rep.details["l1_norm"] == fs[rep.details["l1_slot"] - 1].lp_norm(1)
+        assert "norms_qm" not in rep.details
+
+
+def _gvnqm_reference(fs):
+    """(lhs, rhs, slack) of the gvnQM audit with every QM sup computed."""
+    p = fs[0].p
+    lhs = abs(T(*fs))
+    rhs = AUDIT_CONSTANTS["gvnqm_C"] * min(
+        max(p**(-1 / 64), harmonic.norm_qm(f).value**(1 / 5)) for f in fs)
+    return lhs, rhs, rhs - lhs
+
+
+def _gvnqm_cases(rng):
+    """(label, signals, whether ||f||_1 settles the infimum)."""
+    for p in (31, 61, 101):
+        ctx = cached_field(p)
+        yield "bounded", [random_signal(ctx, rng, kind="bounded") for _ in range(4)], True
+        yield "signs", [random_signal(ctx, rng, kind="signs") for _ in range(4)], False
+        yield "phased", list(phased_character_example(ctx)[:4]), False
+        # constant modulus p^{-5/64}: ||f||_1^{1/5} meets the floor, and
+        # the 1e-12 margin must send it down the full path
+        phases = np.exp(2j * np.pi * rng.uniform(size=(4, p)))
+        yield "at floor", [Signal(ctx, p**(-5 / 64) * v) for v in phases], False
+
+
+def test_gvnqm_report_is_bit_identical_to_the_full_infimum(rng):
+    for label, fs, settled in _gvnqm_cases(rng):
+        rep = check_gvn_bounds(*fs, which="gvnQM")
+        assert (rep.lhs, rep.rhs, rep.slack) == _gvnqm_reference(fs), label
+        assert ("l1_slot" in rep.details) is settled, label
+        assert ("norms_qm" in rep.details) is not settled, label
 
 
 def test_gvn_hypothesis_rejection():
