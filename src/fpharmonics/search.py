@@ -11,12 +11,21 @@ after every assignment: each value keeps the set of colors it may still
 take, and a pattern with all members but one fixed to a color removes
 that color from the last one.  It settles the distinct two-color problem
 in well under a second per N: {1..251} has a coloring and {1..252} has
-none.
+none.  The patterns over {1..MAX_N} are indexed once, for both `distinct`
+flags, on first use: for each value, the other members of every pattern
+holding it, in order of the pattern's largest member, so the patterns
+inside {1..N} are a prefix that one bisection finds.
+
+The exhaustive F_p scan counts only the colorings with c(0) = 0 and
+weights each by r: shifting every color by the same j mod r keeps every
+monochromatic count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +35,7 @@ from .counting import ROW_BLOCK, monochromatic_counts
 from .field import FieldCtx
 
 MAX_N = 300
-# colorings x p^2 pair checks one scan may make; 2^19 * 19^2 (about 2 s) fits
+# colorings covered x p^2 pair checks one scan may make; 2^19 * 19^2 (about 1 s) fits
 SCAN_BUDGET = 2 * 10**8
 
 
@@ -42,6 +51,33 @@ def interval_patterns(N: int, distinct: bool = False) -> list:
             if not (distinct and x == y):
                 pats.append((x, y, s, m))
     return pats
+
+
+@functools.cache
+def _pattern_index() -> dict:
+    """distinct flag -> (tops, rests) over {1..MAX_N}: rests[v] holds the
+    other members of every pattern containing v, ordered by the pattern's
+    largest member, and tops[v] those largest members, ascending.  Both
+    flags are built in one pass and share the member tuples."""
+    index = {flag: ([[] for _ in range(MAX_N + 1)], [[] for _ in range(MAX_N + 1)])
+             for flag in (False, True)}
+    for pat in sorted(interval_patterns(MAX_N), key=max):
+        members, top = set(pat), max(pat)
+        flags = (False,) if pat[0] == pat[1] else (False, True)  # x = y: not distinct
+        for v in members:
+            rest = tuple(members - {v})
+            for flag in flags:
+                tops, rests = index[flag]
+                tops[v].append(top)
+                rests[v].append(rest)
+    return index
+
+
+def _pattern_others(N: int, distinct: bool) -> list:
+    """value -> for each pattern inside {1..N} holding it, the pattern's
+    other members (index 0 unused)."""
+    tops, rests = _pattern_index()[bool(distinct)]
+    return [rests[v][:bisect_right(tops[v], N)] for v in range(N + 1)]
 
 
 def check_interval_coloring(coloring: Sequence[int], distinct: bool = False) -> list:
@@ -104,18 +140,17 @@ def interval_backtrack(N: int, r: int, distinct: bool = False,
     as one; `best_depth` is the deepest value the search colored without a
     contradiction.  Returns a certificate (re-verified by the independent
     checker), an unsatisfiability report, or budget exhaustion after
-    budget + 1 nodes.
+    budget + 1 nodes (budget >= 0).
     """
     if r not in (2, 3):
         raise ValueError("r must be 2 or 3")
     if not 1 <= N <= MAX_N:
         raise ValueError(f"need 1 <= N <= {MAX_N}")
-    # value -> for each pattern holding it, the pattern's other members
-    others: list = [[] for _ in range(N + 1)]
-    for pat in interval_patterns(N, distinct):
-        members = set(pat)
-        for v in members:
-            others[v].append(tuple(members - {v}))
+    if budget is not None and budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    # the order of a value's patterns does not matter: propagation reaches
+    # the same fixpoint, or closes a pattern, in any order
+    others = _pattern_others(N, distinct)
     full = (1 << r) - 1
     color_of = [-1] * (full + 1)  # mask -> its color if it holds just one
     for c in range(r):
@@ -207,6 +242,8 @@ def interval_sweep(r: int, n_max: int, distinct: bool = False,
                    budget: int | None = None) -> dict:
     """Sweep N = 1..n_max; reports the largest N with a certificate and
     checks the UNSAT-monotonicity of the outcomes."""
+    if not 1 <= n_max <= MAX_N:
+        raise ValueError(f"need 1 <= N <= {MAX_N}")
     results = []
     last_sat = None
     unsat_seen = False
@@ -228,10 +265,19 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
                      count: int = 1000, rng=None) -> dict:
     """Min / mean monochromatic quadruple count over F_p colorings.
 
-    mode "exhaustive" enumerates all r^p colorings; mode "random" samples
-    `count` >= 1 uniform colorings.  Each coloring costs p^2 pair checks,
-    and a scan may make at most SCAN_BUDGET of them.  The reported min is a
-    lower-bound witness for the c_r * p^2 quadruple guarantee at this p.
+    mode "exhaustive" covers all r^p colorings; mode "random" samples
+    `count` >= 1 uniform colorings.  Each coloring covered costs p^2 pair
+    checks, and a scan may cover at most SCAN_BUDGET of them.  The reported
+    min is a lower-bound witness for the c_r * p^2 quadruple guarantee at
+    this p.
+
+    The exhaustive scan counts only the r^(p-1) colorings with c(0) = 0
+    and weights each by r: adding j mod r to every color keeps every
+    monochromatic count, and each such orbit of r colorings has exactly one
+    member with c(0) = 0.  Those come first in itertools.product order, so
+    the lex-first minimizer is among them, and min, min_coloring, mean and
+    scanned are those of the full enumeration.  The budget still counts the
+    r^p colorings covered.
     """
     p = ctx.p
     if r < 1:
@@ -250,11 +296,14 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
         raise ValueError(f"{what} colorings at p^2 = {p**2} pair checks each exceed "
                          f"the scan budget of {SCAN_BUDGET} pair checks")
     size = max(1, ROW_BLOCK // p**2)  # colorings counted per call
+    weight = 1  # colorings each counted one stands for
     if mode == "exhaustive":
+        weight, n_counted = r, n_total // r
         digits = r ** np.arange(p - 1, -1, -1, dtype=np.int64)
-        # base-r digits of 0..r^p - 1, most significant first: itertools.product order
-        stacks = (np.arange(lo, min(lo + size, n_total))[:, None] // digits % r
-                  for lo in range(0, n_total, size))
+        # base-r digits of 0..r^(p-1) - 1, most significant (c(0) = 0) first:
+        # itertools.product order
+        stacks = (np.arange(lo, min(lo + size, n_counted))[:, None] // digits % r
+                  for lo in range(0, n_counted, size))
     else:
         if rng is None:
             rng = np.random.default_rng()
@@ -266,7 +315,7 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     total = 0
     for colorings in stacks:
         q = monochromatic_counts(ctx, colorings).sum(axis=-1)
-        total += int(q.sum())
+        total += weight * int(q.sum())
         i = int(np.argmin(q))  # the first minimizer, so the lex-first one overall
         if best is None or q[i] < best:
             best, best_coloring = int(q[i]), colorings[i]

@@ -81,3 +81,16 @@ def check_sqrt2_gap(m_max: int = 10**6) -> dict:
             worst_m, worst_margin = m, margin
     return {"m_max": m_max, "violations": 0,
             "worst_m": worst_m, "worst_ratio": worst_margin}
+
+
+def interval_pattern_others(N: int, distinct: bool = False) -> list:
+    """value -> for each pattern (x, y, x+y, xy) inside {1..N} holding it,
+    the pattern's other members: the table the interval search once built
+    on every call, kept as the oracle for its shared pattern index."""
+    from fpharmonics.search import interval_patterns
+    others: list = [[] for _ in range(N + 1)]
+    for pat in interval_patterns(N, distinct):
+        members = set(pat)
+        for v in members:
+            others[v].append(tuple(members - {v}))
+    return others

@@ -209,6 +209,7 @@ def test_assertion_failure_exits_one(capsys):
     ["bohr", "--eps", "inf"],
     ["decompose", "--eps", "0"],
     ["ramsey", "--r", "10"],
+    ["search", "--N", "10", "--budget", "-1"],
 ], ids=lambda a: " ".join(a))
 def test_usage_error_exits_two(argv, capsys):
     assert main(argv) == 2
@@ -286,6 +287,22 @@ def test_search_sweep(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["last_sat"] is None or report["last_sat"] <= 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--sweep", "--distinct", "--N", "301"],
+    ["search", "--sweep", "--N", "0"],
+], ids=lambda a: " ".join(a))
+def test_search_sweep_out_of_range_exits_two_before_searching(argv, monkeypatch, capsys):
+    # --N 301 once searched 1..300 (about 0.85 s) before exiting 2, and
+    # --N 0 exited 0 with an empty sweep
+    import fpharmonics.search as search
+
+    def searched(*args, **kwargs):
+        raise AssertionError("searched before checking --N")
+    monkeypatch.setattr(search, "interval_backtrack", searched)
+    assert main(argv) == 2
+    assert "need 1 <= N <= 300" in capsys.readouterr().err
 
 
 # -- argv fuzzing ----------------------------------------------------------------

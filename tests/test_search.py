@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import itertools
+import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpharmonics.search as search
 from fpharmonics.counting import ROW_BLOCK
 from fpharmonics.field import cached_field
-from fpharmonics.search import (SCAN_BUDGET, SearchResult,
+from fpharmonics.search import (MAX_N, SCAN_BUDGET, SearchResult,
                                 check_interval_coloring, fp_coloring_scan,
                                 interval_backtrack, interval_patterns,
                                 interval_sweep)
+from reference import interval_pattern_others
+
+PINS = json.loads((Path(__file__).parent / "golden" / "search_pins.json").read_text())
 
 
 def brute_force_sat(N, r, distinct=False):
@@ -53,6 +60,62 @@ def test_budget_exhaustion():
     assert res.nodes == 3 + 1 and res.coloring is None
 
 
+def test_budget_zero_stops_after_one_node_and_negative_is_rejected():
+    res = interval_backtrack(10, 2, budget=0)
+    assert (res.status, res.nodes, res.coloring) == ("budget", 1, None)
+    # a negative budget once stopped after 1 node too, breaking budget + 1
+    with pytest.raises(ValueError, match="budget >= 0"):
+        interval_backtrack(10, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget >= 0"):
+        interval_sweep(2, 10, budget=-1)
+
+
+@pytest.mark.parametrize("n_max", (0, -3, MAX_N + 1))
+def test_sweep_rejects_n_max_out_of_range_before_searching(n_max, monkeypatch):
+    # n_max = 0 once gave an empty sweep, and MAX_N + 1 searched 1..MAX_N
+    # before the last N was refused
+    def searched(*args, **kwargs):
+        raise AssertionError("searched before checking n_max")
+    monkeypatch.setattr(search, "interval_backtrack", searched)
+    with pytest.raises(ValueError, match=f"1 <= N <= {MAX_N}"):
+        interval_sweep(2, n_max, distinct=True)
+
+
+# -- the shared pattern index against the per-call build it replaced -----------
+
+def test_pattern_index_matches_per_call_build():
+    for distinct in (False, True):
+        for N in sorted(set(range(1, 61)) | set(range(1, MAX_N + 1, 7)) | {MAX_N}):
+            got, want = search._pattern_others(N, distinct), interval_pattern_others(N, distinct)
+            assert len(got) == len(want) == N + 1
+            for v in range(N + 1):
+                assert Counter(got[v]) == Counter(want[v]), (N, distinct, v)
+
+
+def _pinned(res):
+    coloring = None if res.coloring is None else "".join(map(str, res.coloring))
+    return [res.status, coloring, res.nodes, res.best_depth]
+
+
+def test_sweep_44_matches_its_pins():
+    # recorded from the search before the pattern index was shared
+    results = interval_sweep(2, 44)["results"]
+    assert [_pinned(res) for res in results] == PINS["interval_sweep(2, 44)"]
+
+
+def test_distinct_sweep_252_matches_its_pins():
+    results = interval_sweep(2, 252, distinct=True)["results"]
+    want = PINS["interval_sweep(2, 252, distinct=True)"]
+    assert "".join(res.status[0] for res in results) == want["statuses"]
+    assert sum(res.nodes for res in results) == want["nodes"]
+
+
+@pytest.mark.parametrize("N", (100, 200, 300))
+def test_three_colour_frontier_matches_its_pins(N):
+    res = interval_backtrack(N, 3, True, 50_000)
+    assert _pinned(res) == PINS["interval_backtrack(N, 3, True, 50000)"][str(N)]
+
+
 def test_sweep_monotone_and_below_graham():
     sweep = interval_sweep(2, 45)
     assert sweep["last_sat"] is not None
@@ -85,7 +148,7 @@ def test_scan_budget_guard():
 @pytest.mark.parametrize("p", [5, 11, 13, 19])
 def test_scan_budget_admits_the_exhaustive_scans_in_use(p):
     # the CLI golden (p = 5), the benchmark's scans (11, 13), and p = 19,
-    # about 2 s: the largest two-color exhaustive scan
+    # about 1 s: the largest two-color exhaustive scan
     assert 2**p * p**2 <= SCAN_BUDGET < 2**23 * 23**2
 
 
@@ -112,7 +175,8 @@ def scan_loop(ctx, r, mode, colorings, n_total, add, mul):
             "min_coloring": best_coloring.tolist(), "min_over_p2": best / ctx.p**2}
 
 
-@pytest.mark.parametrize("p, r", [(5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p, r", [(5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3),
+                                  (5, 4), (11, 1)])
 def test_scan_exhaustive_matches_product_loop(p, r, pair_grids):
     ctx = cached_field(p)
     want = scan_loop(ctx, r, "exhaustive", itertools.product(range(r), repeat=p),
