@@ -2,8 +2,8 @@
 
 A Signal is a complex-valued function on the prime field F_p.  It has an
 additive spectrum (correlations with x -> e_p(kx)) and a multiplicative
-spectrum (correlations with the characters chi_k on F_p*).  Four
-correlation norms order every signal:
+spectrum (correlations with the characters chi_k on F_p*), each a plain
+array of coefficients.  Four correlation norms order every signal:
 
     u2+  <=  u3+  <=  QM  <=  L1
 
@@ -28,9 +28,9 @@ rng = np.random.default_rng(0)
 f = random_signal(ctx, rng, unit_l2=True)
 
 spec = add_transform(f)
-back = add_invert(spec)
+back = add_invert(ctx, spec)
 print("round-trip error:", np.max(np.abs(back.values - f.values)))
-print("Parseval defect: ", abs(np.sum(np.abs(spec.coeffs) ** 2)
+print("Parseval defect: ", abs(np.sum(np.abs(spec) ** 2)
                                - f.lp_norm(2) ** 2))
 
 for name, norm in (("u2+", norm_u2_plus), ("u2x", norm_u2_times),

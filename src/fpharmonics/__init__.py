@@ -16,11 +16,10 @@ from .counting import (Coloring, MarginReport, QuadrupleCensus, T,
                        check_u2times_star_bound, differencing_sup,
                        phased_character_example)
 from .field import FieldCtx, MultChar, cached_field, new_field
-from .harmonic import (AddSpectrum, MultSpectrum, NormResult, Signal,
-                       add_invert, add_transform, convolve, indicator,
-                       inner_product, mult_transform, norm_qm, norm_u2_plus,
-                       norm_u2_times, norm_u3_plus, ones, random_signal,
-                       signal_from_json, signal_load)
+from .harmonic import (NormResult, Signal, add_invert, add_transform,
+                       convolve, indicator, inner_product, mult_transform,
+                       norm_qm, norm_u2_plus, norm_u2_times, norm_u3_plus,
+                       ones, random_signal, signal_load)
 from .qm import (HGroup, QMSystem, TrigPoly, baby_count, bohr_set,
                  box_fraction, check_bohr_density, check_pigeon_projection,
                  compose_signal, counting_integral_I, counting_lemma_check,

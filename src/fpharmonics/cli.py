@@ -4,7 +4,7 @@ Every subcommand builds a plain report dict, prints a human-readable
 summary, and optionally writes the report as JSON or flattened CSV.
 Reports are deterministic functions of the flags (seeded RNGs, no
 timestamps), so identical invocations produce byte-identical files.
-Assertion failures in the underlying checks exit with status 1.
+A failed check exits 1; a usage or input error (ValueError, OSError) 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .counting import TOL
 from .field import MultChar, cached_field
-from .harmonic import (add_invert, add_transform, convolve, norm_qm,
+from .harmonic import (Signal, add_invert, add_transform, convolve, norm_qm,
                        norm_u2_plus, norm_u2_times, norm_u3_plus,
                        random_signal, signal_load)
 
@@ -82,32 +82,62 @@ def emit(report: dict, args) -> None:
 
 
 def _rng(args) -> np.random.Generator:
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: need a seed >= 0")
     return np.random.default_rng(args.seed)
+
+
+# -- checked identities, shared by verify and the subcommands ----------------
+
+def _require(ok: bool, message: str) -> None:
+    # a raise, not an assert, so that python -O keeps the check
+    if not ok:
+        raise AssertionError(message)
+
+
+def _signal(infile, ctx, make) -> Signal:
+    """The signal in the --in file, or make() when there is none."""
+    return signal_load(infile, ctx) if infile else make()
+
+
+def _count_example(ctx) -> tuple:
+    """(T, expected, |T - expected|) on the phased character example."""
+    from .counting import T, phased_character_example
+    f1, f2, f3, f4, expected = phased_character_example(ctx)
+    value = T(f1, f2, f3, f4)
+    err = abs(value - expected)
+    _require(err < TOL, f"count_example_err {err}: T = {value} != expected {expected}")
+    return value, expected, err
+
+
+def _roundtrip_err(f: Signal) -> float:
+    """max |add_invert(add_transform(f)) - f|."""
+    err = float(np.max(np.abs(add_invert(f.ctx, add_transform(f)).values - f.values)))
+    _require(err < 1e-10, f"roundtrip_err {err}: inverse transform is not f")
+    return err
+
+
+def _norm_chain(f: Signal) -> tuple:
+    """(u2+, u3+, QM, L1) of f, the first three as NormResults."""
+    chain = (norm_u2_plus(f), norm_u3_plus(f), norm_qm(f), f.lp_norm(1))
+    values = [n.value for n in chain[:3]] + [chain[3]]
+    _require(all(a <= b + 1e-12 for a, b in zip(values, values[1:])),
+             f"norm_chain {values}: u2+ <= u3+ <= QM <= L1 violated")
+    return chain
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_norms(args):
     ctx = cached_field(args.p)
-    if args.infile:
-        f = signal_load(args.infile, ctx)
-    else:
-        f = random_signal(ctx, _rng(args), unit_l2=True)
-    u2p = norm_u2_plus(f)
-    u2x = norm_u2_times(f)
-    u3p = norm_u3_plus(f)
-    qm = norm_qm(f)
-    l1 = f.lp_norm(1)
-    tol = 1e-12
-    if not (u2p.value <= u3p.value + tol and u3p.value <= qm.value + tol
-            and qm.value <= l1 + tol):
-        raise AssertionError("norm chain u2+ <= u3+ <= QM <= L1 violated")
+    f = _signal(args.infile, ctx, lambda: random_signal(ctx, _rng(args), unit_l2=True))
+    u2p, u3p, qm, l1 = _norm_chain(f)
     return {
         "p": args.p,
-        "u2_plus": {"value": u2p.value, "witness": u2p.witness},
-        "u2_times": {"value": u2x.value, "witness": u2x.witness},
-        "u3_plus": {"value": u3p.value, "witness": u3p.witness},
-        "qm": {"value": qm.value, "witness": qm.witness},
+        "u2_plus": u2p._asdict(),
+        "u2_times": norm_u2_times(f)._asdict(),
+        "u3_plus": u3p._asdict(),
+        "qm": qm._asdict(),
         "l1": l1,
         "chain_ok": True,
     }
@@ -115,39 +145,28 @@ def cmd_norms(args):
 
 def cmd_transform(args):
     ctx = cached_field(args.p)
-    if args.infile:
-        f = signal_load(args.infile, ctx)
-    else:
-        f = random_signal(ctx, _rng(args))
+    f = _signal(args.infile, ctx, lambda: random_signal(ctx, _rng(args)))
+    roundtrip = _roundtrip_err(f)
     spec = add_transform(f)
-    back = add_invert(spec)
-    roundtrip = float(np.max(np.abs(back.values - f.values)))
-    parseval = abs(float(np.sum(np.abs(spec.coeffs) ** 2)) - f.lp_norm(2) ** 2)
+    parseval = abs(float(np.sum(np.abs(spec) ** 2)) - f.lp_norm(2) ** 2)
     g = random_signal(ctx, _rng(args))
     conv_err = float(np.max(np.abs(
-        add_transform(convolve(f, g)).coeffs
-        - spec.coeffs * add_transform(g).coeffs)))
-    if roundtrip > 1e-10 or parseval > TOL or conv_err > TOL:
-        raise AssertionError("transform identities out of tolerance")
+        add_transform(convolve(f, g)) - spec * add_transform(g))))
+    _require(parseval <= TOL and conv_err <= TOL,
+             f"parseval_err {parseval}, convolution_err {conv_err}: "
+             "transform identities out of tolerance")
     return {
         "p": args.p,
         "roundtrip_max_err": roundtrip,
         "parseval_err": parseval,
         "convolution_err": conv_err,
-        "spectrum": [[c.real, c.imag] for c in spec.coeffs] if args.infile
-        else None,
+        "spectrum": spec if args.infile else None,
     }
 
 
 def cmd_count(args):
-    from .counting import T, phased_character_example
-    ctx = cached_field(args.p)
-    f1, f2, f3, f4, expected = phased_character_example(ctx)
-    value = T(f1, f2, f3, f4)
-    if abs(value - expected) > TOL:
-        raise AssertionError(f"T = {value} != expected {expected}")
-    return {"p": args.p, "T": value, "expected": expected,
-            "abs_error": abs(value - expected)}
+    value, expected, err = _count_example(cached_field(args.p))
+    return {"p": args.p, "T": value, "expected": expected, "abs_error": err}
 
 
 def cmd_census(args):
@@ -166,6 +185,8 @@ def cmd_census(args):
         if type(r) is not int:
             raise ValueError(f'"r" must be an integer, got {r!r}')
     else:
+        if args.r < 1:
+            raise ValueError(f"--r {args.r}: need at least one color")
         assign = _rng(args).integers(0, args.r, size=args.p)
         r = args.r
     census = census_quadruples(ctx, Coloring(args.p, r, assign))
@@ -180,16 +201,15 @@ def cmd_scan(args):
 
 
 def cmd_bohr(args):
-    from .qm import QMSystem, bohr_set, box_fraction, check_bohr_density
+    from .qm import QMSystem, box_fraction, check_bohr_density
     ctx = cached_field(args.p)
     psi = QMSystem.random(ctx, args.d, _rng(args))
-    B = bohr_set(psi, args.eps)
     frac, floor = box_fraction(psi, args.eps)
     dens, dens_floor = check_bohr_density(psi, args.eps)
     return {
         "p": args.p, "d": args.d, "eps": args.eps,
         "dims": psi.to_json()["dims"],
-        "bohr_size": len(B), "bohr_density": dens,
+        "bohr_size": int(dens * args.p), "bohr_density": dens,
         "density_floor": dens_floor, "box_fraction": frac, "box_floor": floor,
     }
 
@@ -219,10 +239,7 @@ def cmd_countlemma(args):
 def cmd_decompose(args):
     from .regularity import decomposable_unit_signal, quad_decompose
     ctx = cached_field(args.p)
-    if args.infile:
-        f = signal_load(args.infile, ctx)
-    else:
-        f = decomposable_unit_signal(ctx, _rng(args))
+    f = _signal(args.infile, ctx, lambda: decomposable_unit_signal(ctx, _rng(args)))
     dec = quad_decompose(f, args.eps)
     report = dec.to_json()
     report["p"] = args.p
@@ -326,7 +343,7 @@ def cmd_search(args):
 
 def cmd_verify(args):
     """Compact cross-module property sweep at one prime; any failure exits 1."""
-    from .counting import T, check_gvn_bounds, phased_character_example
+    from .counting import check_gvn_bounds
     from .qm import QMSystem, TrigPoly, baby_count, bohr_set, counting_lemma_check
     from .ramsey import extremal_coloring, find_rich_color
     from .regularity import (build_atoms, decomposable_unit_signal, project,
@@ -334,26 +351,12 @@ def cmd_verify(args):
 
     ctx = cached_field(args.p)
     rng = _rng(args)
-    checks = {}
-
-    def require(ok: bool, name: str) -> None:
-        # a raise, not an assert, so that python -O keeps the check
-        if not ok:
-            raise AssertionError(f"verify check {name} failed: {checks[name]}")
-
-    f1, f2, f3, f4, expected = phased_character_example(ctx)
-    checks["count_example_err"] = abs(T(f1, f2, f3, f4) - expected)
-    require(checks["count_example_err"] < TOL, "count_example_err")
+    checks = {"count_example_err": _count_example(ctx)[2]}
 
     f = random_signal(ctx, rng, unit_l2=True)
-    back = add_invert(add_transform(f))
-    checks["roundtrip_err"] = float(np.max(np.abs(back.values - f.values)))
-    require(checks["roundtrip_err"] < 1e-10, "roundtrip_err")
-
-    chain = [norm_u2_plus(f).value, norm_u3_plus(f).value,
-             norm_qm(f).value, f.lp_norm(1)]
-    checks["norm_chain"] = chain
-    require(all(chain[i] <= chain[i + 1] + 1e-12 for i in range(3)), "norm_chain")
+    checks["roundtrip_err"] = _roundtrip_err(f)
+    u2p, u3p, qm, l1 = _norm_chain(f)
+    checks["norm_chain"] = [u2p.value, u3p.value, qm.value, l1]
 
     gs = [random_signal(ctx, rng, unit_l2=True) for _ in range(3)]
     checks["gvn_u2plus_slack"] = check_gvn_bounds(gs[0], gs[1], gs[2], gs[0],
@@ -374,15 +377,16 @@ def cmd_verify(args):
     checks["decompose_residual"] = dec.residual_u3
     atoms = build_atoms(psi, 2)
     pf = project(atoms, f)
-    checks["projection_idempotent_err"] = float(
+    err = checks["projection_idempotent_err"] = float(
         np.max(np.abs(project(atoms, pf).values - pf.values)))
-    require(checks["projection_idempotent_err"] < TOL, "projection_idempotent_err")
+    _require(err < TOL, f"projection_idempotent_err {err}: projection not idempotent")
 
     col = extremal_coloring(2)
     i, value = find_rich_color(col, mode="oracle")
     checks["ramsey_rich_color"] = i
     checks["ramsey_lambda"] = value
-    require(i == 0 and value == Fraction(1, 16), "ramsey_lambda")
+    _require(i == 0 and value == Fraction(1, 16),
+             f"ramsey_lambda {value} in color {i}, not 1/16 in color 0")
 
     checks["p"] = args.p
     checks["seed"] = args.seed

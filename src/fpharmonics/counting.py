@@ -92,9 +92,7 @@ def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
 def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
     """sum_r f3^(r) f1^(-r) f2^(-r); equals T(f1, f2, f3, 1)."""
     require_same_ctx(f1, f2, f3)
-    c1 = add_transform(f1).coeffs
-    c2 = add_transform(f2).coeffs
-    c3 = add_transform(f3).coeffs
+    c1, c2, c3 = (add_transform(f) for f in (f1, f2, f3))
     p = f1.p
     neg = (-np.arange(p)) % p
     return complex(np.sum(c3 * c1[neg] * c2[neg]))
@@ -352,7 +350,7 @@ def check_u2times_star_bound(g1: Signal, g2: Signal, g4: Signal) -> MarginReport
         _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
     lhs = abs(T_tilde(g1, g2, g4))
     # |E_{x in F*} g conj(chi_k)| = |p <g, chi_k> - g(0)| / (p - 1)
-    sups = [float(np.max(np.abs(p * mult_transform(g).coeffs - g.values[0]))) / (p - 1)
+    sups = [float(np.max(np.abs(p * mult_transform(g) - g.values[0]))) / (p - 1)
             for g in (g1, g2, g4)]
     return MarginReport.check("u2times_star", lhs, p / (p - 1) * min(sups), star_sups=sups)
 

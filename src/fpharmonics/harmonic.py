@@ -13,17 +13,20 @@ They satisfy u2+ <= u3+ <= QM <= L1.  All four are exhaustive sups: u3+
 transforms f conj(e_p(r x^2)) along x for each r, QM along the discrete-log
 axis x = g^a.  A witness is the smallest index within relative 1e-12 of
 the max, so exact ties never depend on rounding.
+
+The additive and multiplicative spectra are plain arrays, indexed by the
+frequency r and the character index k.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx, cached_field
+from .field import FieldCtx
 
 
 @dataclass(frozen=True)
@@ -95,43 +98,27 @@ def random_signal(ctx: FieldCtx, rng: np.random.Generator,
 
 # -- transforms ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AddSpectrum:
-    """Additive spectrum: coefficients f^(r) = E_x f(x) e_p(-r x)."""
-
-    ctx: FieldCtx
-    coeffs: np.ndarray
+def add_transform(f: Signal) -> np.ndarray:
+    """The additive spectrum f^(r) = E_x f(x) e_p(-r x), indexed by r =
+    0..p-1.  np.fft matches this sign convention exactly."""
+    return np.fft.fft(f.values) / f.p
 
 
-@dataclass(frozen=True)
-class MultSpectrum:
-    """Multiplicative spectrum: <f, chi_k> = E_{x in F} f(x) conj(chi_k(x)),
-    the full-field average including the x = 0 term (chi(0) = 1)."""
-
-    ctx: FieldCtx
-    coeffs: np.ndarray  # length p-1, indexed by character index k
+def add_invert(ctx: FieldCtx, coeffs: np.ndarray) -> Signal:
+    """f(x) = sum_r f^(r) e_p(r x), the inverse of add_transform."""
+    return Signal(ctx, np.fft.ifft(coeffs) * ctx.p)
 
 
-def add_transform(f: Signal) -> AddSpectrum:
-    """f^(r) = E_x f(x) e_p(-r x).  np.fft matches this convention exactly."""
-    return AddSpectrum(f.ctx, np.fft.fft(f.values) / f.p)
-
-
-def add_invert(spec: AddSpectrum) -> Signal:
-    """f(x) = sum_r f^(r) e_p(r x)."""
-    return Signal(spec.ctx, np.fft.ifft(spec.coeffs) * spec.ctx.p)
-
-
-def mult_transform(f: Signal) -> MultSpectrum:
-    """All p-1 inner products <f, chi_k> at once.
+def mult_transform(f: Signal) -> np.ndarray:
+    """The multiplicative spectrum <f, chi_k> = E_{x in F} f(x) conj(chi_k(x)),
+    indexed by k = 0..p-2: the full-field average, with the x = 0 term
+    taken as chi(0) = 1.
 
     With h[a] = f(g^a), <f, chi_k> = (f(0) + sum_a h[a] e(-ka/(p-1))) / p,
     and the sum over a is a length-(p-1) additive transform of h.
     """
     ctx = f.ctx
-    h = f.values[ctx.pow_g]
-    coeffs = (f.values[0] + np.fft.fft(h)) / ctx.p
-    return MultSpectrum(ctx, coeffs)
+    return (f.values[0] + np.fft.fft(f.values[ctx.pow_g])) / ctx.p
 
 
 def convolve(f: Signal, g: Signal) -> Signal:
@@ -184,12 +171,12 @@ def quad_phase_inner_products(f: Signal) -> np.ndarray:
 
 def norm_u2_plus(f: Signal) -> NormResult:
     """max_r |f^(r)|; witness (r,)."""
-    return _sup(np.abs(add_transform(f).coeffs))
+    return _sup(np.abs(add_transform(f)))
 
 
 def norm_u2_times(f: Signal) -> NormResult:
     """max_k |<f, chi_k>|; witness (k,).  A semi-norm (see module docstring)."""
-    return _sup(np.abs(mult_transform(f).coeffs))
+    return _sup(np.abs(mult_transform(f)))
 
 
 def norm_u3_plus(f: Signal) -> NormResult:
@@ -229,16 +216,21 @@ def inner_product(f: Signal, g: Signal) -> complex:
 
 # -- JSON interchange ------------------------------------------------------
 
-def signal_from_json(obj: dict, ctx: Optional[FieldCtx] = None) -> Signal:
-    p = int(obj["p"])
-    if ctx is None:
-        ctx = cached_field(p)
-    elif ctx.p != p:
-        raise ValueError(f"ctx p={ctx.p} does not match payload p={p}")
-    vals = np.array([complex(re, im) for re, im in obj["values"]])
-    return Signal(ctx, vals)
+def signal_load(path, ctx: FieldCtx) -> Signal:
+    """The Signal in a JSON file {"p": p, "values": [[re, im], ...]}.
 
-
-def signal_load(path, ctx: Optional[FieldCtx] = None) -> Signal:
+    ValueError unless p is an exact int equal to ctx.p (no bool or float
+    truncated to one) and every value is a pair of real numbers.
+    """
     with open(path) as fh:
-        return signal_from_json(json.load(fh), ctx)
+        obj = json.load(fh)
+    obj = obj if isinstance(obj, dict) else {}
+    p, vals = obj.get("p"), obj.get("values")
+    if type(p) is not int or p != ctx.p:
+        raise ValueError(f'a signal file needs "p": the integer {ctx.p}, got {p!r}')
+    if not (isinstance(vals, list) and all(
+            isinstance(v, list) and len(v) == 2
+            and all(type(c) in (int, float) for c in v) for v in vals)):
+        raise ValueError('a signal file needs "values": a list of [re, im] '
+                         'pairs of real numbers')
+    return Signal(ctx, np.array([complex(re, im) for re, im in vals]))

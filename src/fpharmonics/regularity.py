@@ -238,12 +238,15 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     """
     if not fs:
         raise ValueError("need at least one signal")
-    if not delta > 0:
-        raise ValueError(f"need delta > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"need a finite delta > 0, got {delta}")
     for f in fs:
         if f.linf_norm() > 1 + TOL:
             raise ValueError("||f_i||_inf > 1")
-    max_iter = math.ceil(AUDIT_CONSTANTS["kvn_budget_c"] * len(fs) / delta**2)
+    try:  # delta**2, or the budget over it, may underflow to 0 or overflow
+        max_iter = math.ceil(AUDIT_CONSTANTS["kvn_budget_c"] * len(fs) / delta**2)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"delta = {delta} gives no finite iteration budget") from None
     psi = psi0
     atoms = build_atoms(psi, R)
     projections = [project(atoms, f) for f in fs]

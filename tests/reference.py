@@ -31,7 +31,7 @@ def qm_basis_signal(ctx, r: int, s: int, k: int) -> Signal:
 
 
 def signal_to_json(f: Signal) -> dict:
-    """The payload signal_from_json reads: p and [re, im] per value."""
+    """The payload signal_load reads: p and [re, im] per value."""
     return {"p": f.p, "values": [[float(v.real), float(v.imag)] for v in f.values]}
 
 

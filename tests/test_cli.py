@@ -193,6 +193,45 @@ def test_ramsey_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys)
     assert message in capsys.readouterr().err
 
 
+def _signal_file(values, p=5):
+    return {"p": p, "values": values + [[0.0, 0.0]] * (p - len(values))}
+
+
+# each once ended in a traceback, a misread signal or Python's own
+# "too many values to unpack"
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], '"p"'),
+    ({"values": []}, '"p"'),
+    ({"p": 5, "values": 7}, '"values"'),
+    (_signal_file([["0.5", 0.0]]), '"values"'),
+    # read as p = 5
+    ({"p": 5.7, "values": [[0.0, 0.0]] * 5}, '"p"'),
+    # read as the value 1 + 0j
+    (_signal_file([[True, 0]]), '"values"'),
+    (_signal_file([[1.0, 0.0, 0.0]]), '"values"'),
+    (_signal_file([], p=7), '"p": the integer 5'),
+], ids=("bare-list", "no-p", "values-not-a-list", "string-entry", "float-p",
+        "bool-entry", "three-element-entry", "other-p"))
+@pytest.mark.parametrize("command", ["norms", "transform", "decompose"])
+def test_bad_signal_file_exits_two(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--p", "5", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "inf", "1e200"])
+def test_kvn_delta_without_a_finite_budget_exits_two(delta, tmp_path, capsys):
+    # 1e-300 once exited 1 with a ZeroDivisionError traceback, and inf
+    # exited 0 writing "delta": Infinity, which is not JSON
+    out = tmp_path / "kvn.json"
+    assert main(["kvn", "--delta", delta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta" in err, err
+    assert not out.exists()
+
+
 def test_assertion_failure_exits_one(capsys):
     # decomposition at p=13 with a tight eps cannot meet its residual claim
     assert main(["decompose", "--p", "13", "--eps", "0.2", "--seed", "0"]) == 1
@@ -281,6 +320,20 @@ def test_subcommand_takes_only_flags_it_reads(command):
         assert read, f"{command} accepts --{action.dest} but never reads it"
 
 
+@pytest.mark.parametrize("argv", [
+    *([command, "--seed", "-1"] for command in sorted(_subparsers())
+      if "seed" in {a.dest for a in _subparsers()[command]._actions}),
+    ["census", "--r", "0"],
+    ["census", "--r", "-1"],
+], ids=" ".join)
+def test_bad_seed_or_color_count_names_the_flag(argv, capsys):
+    # numpy's own messages ("expected non-negative integer", "high <= 0")
+    # once reached the user without the flag they came from
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-2] in err, err
+
+
 def test_search_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["search", "--N", "25", "--r", "2", "--sweep",
@@ -308,7 +361,7 @@ def test_search_sweep_out_of_range_exits_two_before_searching(argv, monkeypatch,
 # -- argv fuzzing ----------------------------------------------------------------
 
 FUZZ_POOL = ["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31",
-             "0", "-1", "4", "inf", "nan", str(10**30), str(2**63)]
+             "0", "-1", "4", "inf", "nan", "1e-300", str(10**30), str(2**63)]
 FUZZ_CAP_S = 1.0
 
 

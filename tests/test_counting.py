@@ -58,8 +58,7 @@ def test_spectral_sums_single_character(rng):
     r = 4
     f3 = Signal(ctx, ctx.roots_p[r * np.arange(13) % 13])
     f1, f2 = random_signal(ctx, rng), random_signal(ctx, rng)
-    c1 = add_transform(f1).coeffs
-    c2 = add_transform(f2).coeffs
+    c1, c2 = add_transform(f1), add_transform(f2)
     assert T_spectral_sums(f1, f2, f3) == pytest.approx(
         c1[(-r) % 13] * c2[(-r) % 13], abs=1e-12)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from fpharmonics.harmonic import (Signal, add_invert, add_transform, convolve,
                                   indicator, inner_product, norm_qm,
                                   norm_u2_plus, norm_u2_times, norm_u3_plus,
                                   ones, quad_phase_inner_products,
-                                  random_signal, signal_from_json)
+                                  random_signal, signal_load)
 from reference import qm_basis_signal, signal_to_json
 
 PRIMES = (5, 7, 13, 31)
@@ -21,7 +23,7 @@ def test_delta_transform():
     ctx = cached_field(7)
     f = indicator(ctx, [0])
     spec = add_transform(f)
-    assert np.allclose(spec.coeffs, 1 / 7)
+    assert np.allclose(spec, 1 / 7)
 
 
 def test_ones_transform():
@@ -29,7 +31,7 @@ def test_ones_transform():
     spec = add_transform(ones(ctx))
     expected = np.zeros(11, dtype=complex)
     expected[0] = 1
-    assert np.allclose(spec.coeffs, expected)
+    assert np.allclose(spec, expected)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -38,17 +40,17 @@ def test_roundtrip_and_parseval(p, rng):
     for _ in range(20):
         f = random_signal(ctx, rng)
         spec = add_transform(f)
-        back = add_invert(spec)
+        back = add_invert(ctx, spec)
         assert np.max(np.abs(back.values - f.values)) < 1e-10
-        assert abs(np.sum(np.abs(spec.coeffs) ** 2) - f.lp_norm(2) ** 2) < 1e-9
+        assert abs(np.sum(np.abs(spec) ** 2) - f.lp_norm(2) ** 2) < 1e-9
 
 
 def test_convolution_transform_identity(rng):
     ctx = cached_field(17)
     f = random_signal(ctx, rng)
     g = random_signal(ctx, rng)
-    lhs = add_transform(convolve(f, g)).coeffs
-    rhs = add_transform(f).coeffs * add_transform(g).coeffs
+    lhs = add_transform(convolve(f, g))
+    rhs = add_transform(f) * add_transform(g)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -196,7 +198,7 @@ def test_real_signals_take_the_smaller_conjugate_witness(p):
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, complex(0, np.nan)))
-def test_signal_rejects_non_finite(bad):
+def test_signal_rejects_non_finite(bad, tmp_path):
     ctx = cached_field(7)
     vals = np.ones(7, dtype=np.complex128)
     vals[3] = bad
@@ -204,8 +206,10 @@ def test_signal_rejects_non_finite(bad):
         Signal(ctx, vals)
     payload = signal_to_json(ones(ctx))
     payload["values"][3] = [complex(bad).real, complex(bad).imag]
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
-        signal_from_json(payload)
+        signal_load(path, ctx)
 
 
 def test_qm_norm_attains_basis_signal():
@@ -216,10 +220,12 @@ def test_qm_norm_attains_basis_signal():
     assert res.witness == (2, 5, 3)
 
 
-def test_json_roundtrip(rng):
+def test_json_roundtrip(rng, tmp_path):
     ctx = cached_field(11)
     f = random_signal(ctx, rng)
-    g = signal_from_json(signal_to_json(f), ctx)
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps(signal_to_json(f)))
+    g = signal_load(path, ctx)
     assert np.array_equal(f.values, g.values)
 
 

@@ -331,6 +331,17 @@ def test_kvn_rejects_empty_signal_list():
         kvn_energy_increment([], system(13, []), 0.3, 2)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 1e-300, 1e-160, 1e200])
+def test_kvn_rejects_a_delta_without_a_finite_budget(delta):
+    # 1e-300 squared underflows to 0 and once raised ZeroDivisionError;
+    # 1e-160 squared is subnormal, and the budget over it overflows;
+    # 1e200 squared overflows; inf once ran and reported "delta": Infinity
+    ctx = cached_field(13)
+    f = Signal(ctx, np.cos(np.arange(13.0)) + 0j)
+    with pytest.raises(ValueError, match="delta"):
+        kvn_energy_increment([f], system(13, []), delta, 2)
+
+
 def test_kvn_fixture_p61():
     from fpharmonics.field import MultChar, mult_char_values
     ctx = cached_field(61)
