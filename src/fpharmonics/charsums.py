@@ -22,7 +22,7 @@ from .harmonic import difference_spectrum
 
 def gauss_sum(ctx: FieldCtx, a: int, b: int) -> complex:
     """sum_x e_p(a x^2 + b x); modulus sqrt(p) for a != 0, 0 for a=0 b!=0,
-    p for a=b=0 (asserted within 1e-8)."""
+    p for a=b=0 (asserted within counting.TOL)."""
     p = ctx.p
     a, b = a % p, b % p
     s = complex(np.sum(quad_phase_values(ctx, a, b)))
@@ -32,8 +32,8 @@ def gauss_sum(ctx: FieldCtx, a: int, b: int) -> complex:
         expected = 0.0
     else:
         expected = float(p)
-    if abs(abs(s) - expected) > 1e-8:
-        raise AssertionError(f"gauss modulus {abs(s)} != {expected}")
+    MarginReport.check("gauss modulus", abs(abs(s) - expected), 0.0,
+                       sum=s, expected=expected)
     return s
 
 

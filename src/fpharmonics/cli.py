@@ -144,12 +144,12 @@ def cmd_norms(args):
 
 
 def cmd_transform(args):
-    ctx = cached_field(args.p)
-    f = _signal(args.infile, ctx, lambda: random_signal(ctx, _rng(args)))
+    ctx, rng = cached_field(args.p), _rng(args)
+    f = _signal(args.infile, ctx, lambda: random_signal(ctx, rng))
     roundtrip = _roundtrip_err(f)
     spec = add_transform(f)
     parseval = abs(float(np.sum(np.abs(spec) ** 2)) - f.lp_norm(2) ** 2)
-    g = random_signal(ctx, _rng(args))
+    g = random_signal(ctx, rng)
     conv_err = float(np.max(np.abs(
         add_transform(convolve(f, g)) - spec * add_transform(g))))
     _require(parseval <= TOL and conv_err <= TOL,

@@ -9,23 +9,24 @@ T, T_tilde and the censuses walk the pair table (x, y) in blocks of about
 ROW_BLOCK entries: they run at any table prime in O(p^2) time and hold
 no p x p array.
 
-Audit policy.  Every floating-point bound and cross-check of the
-mathematics goes through MarginReport.check(name, lhs, rhs, **details): it
-records lhs <= rhs with slack = rhs - lhs, raises AssertionError naming the
-check, both sides and the details when slack < -TOL, and otherwise returns
-the report, so that implicit O(.) constants become measurable instead of
-assumed.  A two-sided agreement |a - b| <= TOL is the report with
-lhs = |a - b| and rhs = 0.  It covers the von Neumann-type bounds here
-(check_*), the Weil, mixed-sum and box-sum budgets (charsums), the baby
-count, the counting integral and the counting lemma (qm), and the
-decomposition, correlation and energy-increment conclusions (regularity).
-Exact checks on ints and Fractions (the Bohr and pigeonhole floors,
-Ramsey, search) stay exact, with no tolerance; gauss_sum's modulus check
-and the CLI's identity checks keep their own thresholds, and the CLI's
-1e-9 checks read TOL.  A bound is never traded for speed, but a costly
-term is skipped where a cheaper one certifies the same value: the QM
-bound's infimum is settled from ||f_i||_1 >= ||f_i||_QM whenever that
-decides it (gvnqm_inf), as the KvN loop skips residual QM norms.
+Audit policy.  Every claim the library checks, float or exact, goes through
+MarginReport.check(name, lhs, rhs, **details): it records lhs <= rhs with
+slack = rhs - lhs, raises AssertionError naming the check, both sides and
+the details unless ok(), and otherwise returns the report, so that implicit
+O(.) constants become measurable instead of assumed.  A float slack is ok
+down to -TOL; an exact one (int or Fraction) down to 0, so exact claims
+(the Bohr, box and pigeonhole floors, Ramsey, search) stay exact.  A
+two-sided agreement |a - b| <= TOL is the report with lhs = |a - b| and
+rhs = 0.  It also covers the von Neumann-type bounds here (check_*), the
+Gauss modulus and the Weil, mixed-sum and box-sum budgets (charsums), the
+baby count, the counting integral and the counting lemma (qm), and the
+decomposition, correlation, energy-increment, iteration-budget and
+smooth-box conclusions (regularity).  Only the CLI's identity checks keep
+their own thresholds; its 1e-9 checks read TOL.  A bound is never traded
+for speed, but a costly term is skipped where a cheaper one certifies the
+same value: the QM bound's infimum is settled from ||f_i||_1 >= ||f_i||_QM
+whenever that decides it (gvnqm_inf), as the KvN loop skips residual QM
+norms.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ class MarginReport:
         return self.rhs - self.lhs
 
     def ok(self) -> bool:
-        return self.slack >= -TOL
+        """slack >= -TOL for a float slack, slack >= 0 for an exact one."""
+        return self.slack >= (-TOL if isinstance(self.slack, float) else 0)
 
     @classmethod
     def check(cls, name: str, lhs: float, rhs: float, **details) -> "MarginReport":

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_TABLE_PRIME = 100_003  # largest p for which full tables are supported
-MAX_GRID_PRIME = 2048      # largest p for which p x p index grids are built
+MAX_GRID_PRIME = 2048      # largest p for which p x p grids and tables are built
 
 
 def prime_factors(n: int) -> list[int]:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import MAX_GRID_PRIME, FieldCtx
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,16 @@ def _sup(mags: np.ndarray) -> NormResult:
                                  np.unravel_index(_first_near(mags, top), mags.shape)))
 
 
+def _require_grid(p: int) -> None:
+    if p > MAX_GRID_PRIME:  # checked before any p x p table is built
+        raise ValueError(f"p = {p} is too large for p x p tables "
+                         f"(field.MAX_GRID_PRIME = {MAX_GRID_PRIME})")
+
+
 def _quad_demodulated(f: Signal) -> np.ndarray:
     """Matrix [r, x] of f(x) conj(e_p(r x^2)), all r = 0..p-1 at once."""
     p = f.p
+    _require_grid(p)
     x = np.arange(p, dtype=np.int64)
     return f.values * f.ctx.roots_p[np.multiply.outer(-x, x * x % p) % p]
 
@@ -159,6 +166,7 @@ def difference_spectrum(v: np.ndarray) -> np.ndarray:
     Delta_w v(x) = v(x+w) conj(v(x)): all p differences in one batched
     transform."""
     p = len(v)
+    _require_grid(p)
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((v, v[:-1])), p)
     return np.abs(np.fft.fft(shifted * np.conj(v), axis=1) / p) ** 2
 
@@ -194,6 +202,7 @@ def norm_qm(f: Signal) -> NormResult:
     buffers, allocated once per call.
     """
     ctx, p = f.ctx, f.p
+    rows = _quad_demodulated(f)  # first, so an oversized p fails before E
     E = ctx.roots_p[np.multiply.outer(-np.arange(p), ctx.pow_g) % p]
     y, Y, mags = np.empty_like(E), np.empty_like(E), np.empty(E.shape)
 
@@ -202,7 +211,6 @@ def norm_qm(f: Signal) -> NormResult:
         y[:, 0] += q[0]  # x = 0: one term, added to every k
         return np.abs(np.fft.fft(y, axis=1, out=Y), out=mags)
 
-    rows = _quad_demodulated(f)
     top, (r,) = _sup(np.array([row_mags(q).max() for q in rows]))
     s, k = divmod(_first_near(row_mags(rows[r]), top), p - 1)
     return NormResult(top / p, (r, s, k))

@@ -286,15 +286,18 @@ def bohr_set(psi: QMSystem, eps) -> list:
 
 
 def box_fraction(psi: QMSystem, eps) -> tuple:
-    """(exact fraction of H_Psi inside the box X(eps), lower bound eps^{3d})."""
+    """(exact fraction of H_Psi inside the box X(eps), its floor eps^{3d}, asserted)."""
     eps = as_fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("need 0 < eps <= 1")
     H = enumerate_H(psi)
     p, q = psi.ctx.p, psi.ctx.p - 1
     okp = _rows_within(H.gplus, p, eps)
     okt = _rows_within(H.gtimes, q, eps)
     inside = int(np.sum(okp)) ** 2 * int(np.sum(okt))
-    frac = Fraction(inside, H.size)
-    return frac, eps ** (3 * psi.d)
+    frac, floor = Fraction(inside, H.size), eps ** (3 * psi.d)
+    MarginReport.check("box fraction floor", floor, frac, p=p)
+    return frac, floor
 
 
 def check_bohr_density(psi: QMSystem, eps) -> tuple:
@@ -303,8 +306,7 @@ def check_bohr_density(psi: QMSystem, eps) -> tuple:
     B = bohr_set(psi, eps)
     mu = Fraction(len(B), psi.ctx.p)
     bound = Fraction(1, 8) * (eps / 4) ** (3 * psi.d)
-    if mu < bound:
-        raise AssertionError(f"Bohr density {mu} below floor {bound} at p={psi.ctx.p}")
+    MarginReport.check("Bohr density floor", bound, mu, p=psi.ctx.p)
     return mu, bound
 
 
@@ -332,8 +334,7 @@ def check_pigeon_projection(factors: Sequence[int], pi, delta) -> tuple:
             count += 1
     measure = Fraction(count, order)
     bound = delta ** d
-    if measure < bound:
-        raise AssertionError(f"pigeonhole projection measure {measure} < {bound}")
+    MarginReport.check("pigeonhole projection floor", bound, measure)
     return measure, bound
 
 

@@ -2,7 +2,9 @@
 
 Everything in this module is computed with exact rational arithmetic
 (integer counts over power-of-|T| denominators); floating point never
-enters.  The central quantity is the triple density
+enters, and each claim is checked by counting.MarginReport.check on ints
+and Fractions, so with no tolerance.  The central quantity is the triple
+density
 
   Lambda_T(A) = E_{t1..t5 in T} 1_A(t1, t4-t5) 1_A(t2, t4-t5) 1_A(t3, t2-t1)
 
@@ -35,6 +37,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .counting import MarginReport
 
 Element = tuple  # residue tuple, one entry per cyclic factor
 Pair = tuple     # (t, u) with t, u elements
@@ -313,8 +317,9 @@ def extremal_coloring(r: int) -> PairColoring:
 
     Class 0 is {(t, 0)}; for i in 1..r class i is
     {(t, u) : u_1 = ... = u_{i-1} = 0, u_i = 1, t_i = 0} and class r+i is
-    the same with t_i = 1.  Verified here: the classes partition G x G,
-    Lambda(class i) = 0 exactly for i >= 1, and Lambda(class 0) = 4^-r.
+    the same with t_i = 1.  Verified here: no pair is uncolored (so the
+    disjoint classes partition G x G), Lambda(class i) = 0 exactly for
+    i >= 1, and Lambda(class 0) = 4^-r.
     """
     if not 1 <= r <= EXTREMAL_MAX_R:
         raise ValueError(f"need 1 <= r <= {EXTREMAL_MAX_R}: larger r breaks the "
@@ -330,19 +335,11 @@ def extremal_coloring(r: int) -> PairColoring:
             else:
                 i = next(j for j in range(r) if u[j] == 1)
                 classes[1 + i + r * t[i]].add((t, u))
-    total = sum(len(c) for c in classes)
-    if total != group.order ** 2:
-        raise AssertionError("classes do not partition G x G")
     col = PairColoring(group, tuple(G), tuple(classes))
-    if col.uncolored():
-        raise AssertionError("extremal coloring left pairs uncolored")
-    lam0 = col.lam(0)
-    if lam0 != Fraction(1, 4**r):
-        raise AssertionError(f"Lambda(class 0) = {lam0} != 4^-{r}")
-    for i in range(1, 2 * r + 1):
-        li = col.lam(i)
-        if li != 0:
-            raise AssertionError(f"Lambda(class {i}) = {li} != 0")
+    MarginReport.check("uncolored pairs", len(col.uncolored()), 0)
+    MarginReport.check("|Lambda(class 0) - 4^-r|", abs(col.lam(0) - Fraction(1, 4**r)), 0, r=r)
+    MarginReport.check("max Lambda(class i), i >= 1",
+                       max(col.lam(i) for i in range(1, 2 * r + 1)), 0)
     return col
 
 
@@ -443,13 +440,12 @@ def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
 
     x_prime = frozenset(xs[i] for i in _bits(nx[best]))
     measure = Fraction(S_best, Lx)
-    if 2 * S_best * Ly < a:
-        raise AssertionError(f"nu_x(X') = {measure} < alpha/2 = {alpha / 2}")
     bad_inside = Fraction(B_best, Lx * Lx)
-    if eta.denominator * B_best > eta.numerator * S_best * S_best:
-        raise AssertionError(
-            f"bad-pair mass {bad_inside} > eta * nu_x(X')^2 "
-            f"= {eta * measure * measure}")
+    MarginReport.check("alpha/2 <= nu_x(X')", a, 2 * S_best * Ly,
+                       alpha=alpha, x_prime_measure=measure)
+    MarginReport.check("bad-pair mass in X'^2 <= eta nu_x(X')^2",
+                       eta.denominator * B_best, eta.numerator * S_best * S_best,
+                       bad_inside=bad_inside, x_prime_measure=measure, eta=eta)
     bad_pairs = frozenset((xs[i], xs[j]) for i, m in enumerate(bad)
                           for j in _bits(m))
     return DRCResult(x_prime, ys[best], alpha, eta, bad_pairs, measure,
@@ -484,9 +480,7 @@ def find_rich_color(col: PairColoring, mode: str = "oracle") -> tuple:
         value = col.lam(best)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if value < threshold**2:
-        raise AssertionError(
-            f"color {best} has Lambda = {value} < eps_{r}^2 = {threshold**2}")
+    MarginReport.check("eps_r^2 <= Lambda(rich color)", threshold**2, value, r=r, color=best)
     return best, value
 
 
@@ -496,10 +490,9 @@ def _rich_color_recursive(col: PairColoring, colors: list):
     index = col._index
     densities = [(index.density(col._masks[i]), i) for i in colors]
     dens, i_star = max(densities)
-    if 2 * r * dens < 1:
-        # pigeonhole cannot fail when the uncolored defect is small; this
-        # is unreachable for valid inputs but kept as a guard
-        raise AssertionError("no color of density >= 1/2r")
+    # pigeonhole cannot fail when the uncolored defect is small; this
+    # is unreachable for valid inputs but kept as a guard
+    MarginReport.check("1 <= 2r max color density", 1, 2 * r * dens, r=r)
     if r == 1:
         return i_star
     eta = eps_r(r - 1) / 4

@@ -226,8 +226,8 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
     """Extend psi0 until every residual f_i - Pi_R^Psi f_i has QM norm
     <= delta.  Energy E_j = sum_i ||Pi_j f_i||_2^2 increases by the full
     Pythagoras step each iteration (asserted), so the loop stops within
-    ceil(kvn_budget_c * len(fs) / delta^2) iterations or reports the energy
-    trace.
+    ceil(kvn_budget_c * len(fs) / delta^2) iterations, or fails the check
+    "iterations used <= budget" with the energy trace.
 
     Each residual's QM norm is computed once per iteration, and not at all
     when ||h||_1 <= delta (then ||h||_QM <= ||h||_1, as |phi chi| = 1, so h
@@ -261,8 +261,7 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
         worst = int(np.argmax(values))
         if values[worst] <= delta:
             return KvnResult(psi, it, tuple(trace), atoms)
-        if it == max_iter:
-            break
+        MarginReport.check("iterations used <= budget", it + 1, max_iter, energy_trace=trace)
         phi = _correlating_projection(residuals[worst], qms[worst], delta, R)[0]
         psi = psi.extended(phi.dims)
         new_atoms = build_atoms(psi, R)
@@ -281,8 +280,6 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
         energy = sum(g.lp_norm(2) ** 2 for g in projections)
         MarginReport.check("energy increase", trace[-1], energy)
         trace.append(energy)
-    raise RuntimeError(f"iteration budget {max_iter} exceeded; "
-                       f"energy trace {trace}")
 
 
 # -- smoothed box approximants -------------------------------------------------
@@ -405,7 +402,7 @@ def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
     (gamma = 1/(4R)) with a Jackson kernel, so 0 <= F, F >= 1 on I, and
     F <= eps/(10 R^{3d}) at distance > 2*gamma from I.  The kernel degree
     auto-escalates once if the certified tail exceeds the per-factor
-    allowance, then errors.
+    allowance; a tail still over it fails a check.
     """
     if d == 0:
         return SmoothBox(0, R, ((), (), ()), eps, 0.0, ())
@@ -422,8 +419,7 @@ def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
         fac = _build_factor(lo, 1.0 / R, gamma, tau0, n0)
         if fac is None:
             fac = _build_factor(lo, 1.0 / R, gamma, tau0, 2 * n0)  # escalate once
-        if fac is None:
-            raise RuntimeError("smooth box tail bound not met after escalation")
+        MarginReport.check("tail over its bound after escalation", int(fac is None), 0, lo=lo)
         factors.append(fac)
     return SmoothBox(d, R, (tuple(t), tuple(u), tuple(v)), eps, gamma,
                      tuple(factors))

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import ROW_BLOCK, monochromatic_counts
+from .counting import ROW_BLOCK, MarginReport, monochromatic_counts
 from .field import FieldCtx
 
 MAX_N = 300
@@ -233,8 +233,7 @@ def interval_backtrack(N: int, r: int, distinct: bool = False,
             undo(mark)
     cert = tuple(coloring[1:])
     bad = check_interval_coloring(cert, distinct)
-    if bad:
-        raise AssertionError(f"search returned an invalid certificate: {bad[:3]}")
+    MarginReport.check("monochromatic patterns in the certificate", len(bad), 0, bad=bad[:3])
     return SearchResult("sat", N, r, distinct, cert, nodes, best_depth)
 
 
@@ -251,9 +250,7 @@ def interval_sweep(r: int, n_max: int, distinct: bool = False,
         res = interval_backtrack(N, r, distinct, budget)
         results.append(res)
         if res.status == "sat":
-            if unsat_seen:
-                raise AssertionError(
-                    f"N = {N} satisfiable after an unsatisfiable smaller N")
+            MarginReport.check("an unsat N below this sat N", int(unsat_seen), 0, N=N)
             last_sat = N
         elif res.status == "unsat":
             unsat_seen = True
@@ -319,8 +316,7 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
         i = int(np.argmin(q))  # the first minimizer, so the lex-first one overall
         if best is None or q[i] < best:
             best, best_coloring = int(q[i]), colorings[i]
-    if best < 1:
-        raise AssertionError("the zero quadruple makes every count >= 1")
+    MarginReport.check("the zero quadruple makes every count >= 1", 1, best)
     return {
         "p": p, "r": r, "mode": mode, "scanned": n_total,
         "min": best, "mean": total / n_total,

@@ -18,6 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fpharmonics
+from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.cli import build_parser, main
 from fpharmonics.field import FieldCtx
 
@@ -167,7 +168,7 @@ def test_bohr_asserts_the_density_floor_at_small_p(monkeypatch, capsys):
     # (impossible, since 0 is in B) must fail the claim rather than pass
     monkeypatch.setattr("fpharmonics.qm.bohr_set", lambda psi, eps: [])
     assert main(["bohr", "--p", "13"]) == 1
-    assert capsys.readouterr().err.startswith("FAILED: Bohr density 0 below floor")
+    assert capsys.readouterr().err.startswith("FAILED: Bohr density floor: ")
 
 
 def _total_pair_coloring(T, n=7):
@@ -232,6 +233,23 @@ def test_kvn_delta_without_a_finite_budget_exits_two(delta, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["norms", "decompose", "kvn"])
+def test_oversized_p_for_the_p_by_p_kernels_exits_two(command, capsys):
+    # each once ended in a numpy MemoryError traceback, asking for one
+    # 100003 x 100003 complex table (74.5 GiB) before checking anything
+    assert main([command, "--p", "100003"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_GRID_PRIME = 2048" in err, err
+
+
+def test_exhausted_kvn_budget_is_a_failed_claim(monkeypatch, capsys):
+    # kvn --p 31 needs one iteration; with a budget of none it once raised
+    # RuntimeError, a traceback rather than exit 1
+    monkeypatch.setitem(AUDIT_CONSTANTS, "kvn_budget_c", 0)
+    assert main(["kvn", "--p", "31"]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: iterations used <= budget: ")
+
+
 def test_assertion_failure_exits_one(capsys):
     # decomposition at p=13 with a tight eps cannot meet its residual claim
     assert main(["decompose", "--p", "13", "--eps", "0.2", "--seed", "0"]) == 1
@@ -246,6 +264,7 @@ def test_assertion_failure_exits_one(capsys):
     ["kvn", "--p", "31", "--R", "1"],
     ["bohr", "--d", "-1"],
     ["bohr", "--eps", "inf"],
+    ["bohr", "--eps", "2"],
     ["decompose", "--eps", "0"],
     ["ramsey", "--r", "10"],
     ["search", "--N", "10", "--budget", "-1"],

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import fpharmonics
 from fpharmonics import counting, harmonic
 from fpharmonics.calibration import AUDIT_CONSTANTS
-from fpharmonics.counting import (ROW_BLOCK, Coloring, HypothesisError, T,
+from fpharmonics.counting import (ROW_BLOCK, TOL, Coloring, HypothesisError,
+                                  MarginReport, T,
                                   T_spectral_sums, T_tilde,
                                   census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
@@ -206,6 +208,15 @@ def test_gvn_hypothesis_rejection():
     big = Signal(ctx, np.full(13, 5.0, dtype=complex))
     with pytest.raises(HypothesisError):
         check_gvn_bounds(big, big, big, big, which="u2plus")
+
+
+def test_exact_slack_has_no_tolerance():
+    # a float slack may fall up to TOL short; an int or Fraction one not at all
+    assert MarginReport.check("float", TOL / 2, 0.0).ok()
+    with pytest.raises(AssertionError, match="^fraction: "):
+        MarginReport.check("fraction", Fraction(1, 10**12), 0)
+    with pytest.raises(AssertionError, match="^int: "):
+        MarginReport.check("int", 1, 0)
 
 
 def test_u2times_star_bound(rng):

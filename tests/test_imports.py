@@ -100,6 +100,33 @@ def test_one_float_tolerance():
     assert tol_params == []
 
 
+def raise_sites(tree, where=""):
+    """(qualified name of the innermost enclosing def, raised name) for each
+    raise in tree that names an exception."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += raise_sites(node, f"{where}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((where, getattr(exc, "id", None)))
+        out += raise_sites(node, where)
+    return out
+
+
+def test_one_claim_path():
+    # a library claim fails only through MarginReport.check, so one hook sees
+    # every check; the CLI's _require keeps its own identity thresholds
+    source = "class A:\n def f(self):\n  raise X('x')\ndef g():\n raise Y\n"
+    assert raise_sites(ast.parse(source)) == [("A.f", "X"), ("g", "Y")]
+    sites = [(path.name, where, exc) for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for where, exc in raise_sites(ast.parse(path.read_text()))]
+    assert [site for site in sites if site[2] == "RuntimeError"] == []
+    assert [site[:2] for site in sites if site[2] == "AssertionError"] == [
+        ("cli.py", "_require"), ("counting.py", "MarginReport.check")]
+
+
 # -- no public name that only tests reach -----------------------------------------
 
 REPO_DIR = PACKAGE_DIR.parent.parent

@@ -126,6 +126,15 @@ def test_box_fraction_floor():
     assert frac >= floor
 
 
+def test_box_fraction_asserts_its_floor(monkeypatch):
+    # with every row outside the box, the fraction 0 is below eps^{3d}: this
+    # once came back as (0, floor) with nothing checked
+    monkeypatch.setattr("fpharmonics.qm._rows_within",
+                        lambda rows, den, eps: np.zeros(len(rows), dtype=bool))
+    with pytest.raises(AssertionError, match="^box fraction floor: "):
+        box_fraction(system(7, [(1, 1)]), Fraction(1, 2))
+
+
 def test_exact_integer_bohr_and_box_match_fraction_loops(rng):
     """Reference: Bohr membership by the exact Fraction metric of Psi(x)
     from Python ints, box membership by one Fraction comparison per

@@ -370,6 +370,14 @@ def test_smooth_box_d1_grid_audit():
     assert box.trig_norm() < np.inf
 
 
+def test_smooth_box_tail_over_its_bound_is_a_failed_claim(monkeypatch):
+    # a factor whose tail stays over the bound after escalation once raised
+    # RuntimeError, which the CLI does not report as a failed claim
+    monkeypatch.setattr(regularity, "_build_factor", lambda *args: None)
+    with pytest.raises(AssertionError, match="^tail over its bound after escalation: "):
+        smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
+
+
 def test_smooth_majorant_dominates_indicator():
     ctx = cached_field(13)
     psi = system(13, [(1, 1)])
