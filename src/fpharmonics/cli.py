@@ -351,12 +351,11 @@ def cmd_verify(args):
 
     ctx = cached_field(args.p)
     rng = _rng(args)
-    checks = {"count_example_err": _count_example(ctx)[2]}
-
     f = random_signal(ctx, rng, unit_l2=True)
-    checks["roundtrip_err"] = _roundtrip_err(f)
+    # the norm chain refuses p > MAX_GRID_PRIME, so it runs before the O(p^2) count example
     u2p, u3p, qm, l1 = _norm_chain(f)
-    checks["norm_chain"] = [u2p.value, u3p.value, qm.value, l1]
+    checks = {"count_example_err": _count_example(ctx)[2], "roundtrip_err": _roundtrip_err(f),
+              "norm_chain": [u2p.value, u3p.value, qm.value, l1]}
 
     gs = [random_signal(ctx, rng, unit_l2=True) for _ in range(3)]
     checks["gvn_u2plus_slack"] = check_gvn_bounds(gs[0], gs[1], gs[2], gs[0],

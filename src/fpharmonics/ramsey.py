@@ -270,10 +270,6 @@ class PairColoring:
         return frozenset((self.T[a], diffs[k])
                          for a, k in zip(rows.tolist(), cols.tolist()))
 
-    def delta(self, A: Iterable[Pair]) -> Fraction:
-        """delta_T(A) = #{(t, t1, t2) in T^3 : (t, t1-t2) in A} / |T|^3."""
-        return self._index.density(self._index.mask(A))
-
     def lam(self, color: int) -> Fraction:
         return Fraction(_lambda_tables(self._index, self._masks[color]),
                         len(self.T) ** 5)

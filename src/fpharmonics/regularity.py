@@ -303,56 +303,68 @@ def _jackson_coeffs(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BoxFactor:
-    """One smoothed 1-d interval indicator: G/(1-tail) with
-    G = 1_J * K_n, J the gamma-enlarged target interval."""
+class SmoothInterval:
+    """The smoothed indicator of [0, 1/R) that every box coordinate at
+    scale R shifts: G = (1_J * K_n)/(1 - tail), J = [-gamma, 1/R + gamma].
+    The coordinate whose interval starts at lo takes G(theta - lo)."""
 
-    lo: float       # target interval start (t/R + sqrt2 mod 1)
-    width: float    # 1/R
-    gamma: float
-    coeffs: np.ndarray  # scaled coefficients over j = -deg..deg
-    deg: int
-    tail: float     # certified t_in = 1 - int_{|u|<=gamma} K
+    coeffs: np.ndarray  # over j = -deg..deg
+    tail: float         # certified t_in = 1 - int_{|u|<=gamma} K_n
+
+    @property
+    def deg(self) -> int:
+        return len(self.coeffs) // 2
 
     def eval(self, theta: np.ndarray) -> np.ndarray:
         js = np.arange(-self.deg, self.deg + 1)
         ph = np.exp(2j * np.pi * np.outer(np.atleast_1d(theta), js))
         return np.real(ph @ self.coeffs)
 
-    def coef_mass(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
 
-
-def _build_factor(lo: float, width: float, gamma: float, tau0: float,
-                  n: int) -> Optional[BoxFactor]:
-    """Attempt the construction at kernel parameter n; None if the exact
-    tail bound t_in exceeds tau0."""
+def _smooth_interval(R: int, n: int) -> SmoothInterval:
+    """G at kernel parameter n, with gamma = 1/(4R) and its exact tail."""
     kc = _jackson_coeffs(n)
     deg = 2 * n - 2
     js = np.arange(-deg, deg + 1)
-    a, b = lo - gamma, lo + width + gamma
+    gamma = 1.0 / (4 * R)
+    a, b = -gamma, 1.0 / R + gamma
     # 1_J hat: integral of e(-j theta) over [a, b]
-    ind_hat = np.empty(2 * deg + 1, dtype=np.complex128)
+    ind_hat = np.full(2 * deg + 1, b - a, dtype=np.complex128)
     nz = js != 0
-    ind_hat[~nz] = b - a
     ind_hat[nz] = (np.exp(-2j * np.pi * js[nz] * a)
                    - np.exp(-2j * np.pi * js[nz] * b)) / (2j * np.pi * js[nz])
-    g_hat = ind_hat * kc
     # exact trig-poly integral of K over [-gamma, gamma]
     inside = 2 * gamma + np.sum(kc[nz] * np.sin(2 * np.pi * js[nz] * gamma)
                                 / (np.pi * js[nz]))
     tail = max(0.0, 1.0 - float(inside))
-    if tail > tau0:
-        return None
     scale = 1.0 / ((1.0 - tail) * (1.0 - 1e-8))
-    return BoxFactor(lo=lo, width=width, gamma=gamma, coeffs=g_hat * scale,
-                     deg=deg, tail=tail)
+    return SmoothInterval(coeffs=ind_hat * kc * scale, tail=tail)
+
+
+def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
+    """The one G of every box at (d, R, eps), None when d = 0.  The kernel
+    degree escalates once if the certified tail exceeds the per-factor
+    allowance tau0; a tail still over it fails a check."""
+    if R < 1 or (R & (R - 1)) != 0:
+        raise ValueError(f"R must be a power of two, got {R}")
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if d == 0:
+        return None
+    tau0 = eps / (10 * R ** (3 * d)) / (8 * 3 * d)
+    n0 = max(4, math.ceil((3 / (16 * tau0 * (1.0 / (4 * R))**4)) ** (1 / 3)))
+    G = _smooth_interval(R, n0)
+    if G.tail > tau0:
+        G = _smooth_interval(R, 2 * n0)  # escalate once
+    MarginReport.check("tail over its bound after escalation", int(G.tail > tau0), 0,
+                       tail=G.tail, tau0=tau0)
+    return G
 
 
 @dataclass(frozen=True)
 class SmoothBox:
-    """Product over the 3d circle coordinates of smoothed interval
-    indicators; F >= 1 on the generalised interval I_{R;t,u,v}, F <= the
+    """Product over the 3d circle coordinates of shifts of one smoothed
+    interval; F >= 1 on the generalised interval I_{R;t,u,v}, F <= the
     small ceiling off the gamma-enlargement, 0 <= F <= 1 + eps/(10 R^{3d}).
     Kept in factored form: the tensor-product coefficients are never
     materialized."""
@@ -361,15 +373,21 @@ class SmoothBox:
     R: int
     key: tuple           # (t, u, v) interval indices
     eps: float
-    gamma: float
-    factors: tuple       # 3d BoxFactors, ordered th1_1..th1_d, th2_*, v_*
+    interval: Optional[SmoothInterval]  # the shared G; None when d = 0
+
+    @property
+    def los(self) -> tuple:
+        """Start t/R + sqrt2 mod 1 of each coordinate's interval, ordered
+        th1_1..th1_d, th2_*, v_*."""
+        sqrt2_frac = math.sqrt(2.0) - 1.0
+        return tuple((idx / self.R + sqrt2_frac) % 1.0 for idx in sum(self.key, ()))
 
     def eval_coords(self, coords: np.ndarray) -> np.ndarray:
         """coords: array (N, 3d) of circle coordinates in [0, 1)."""
         coords = np.atleast_2d(coords)
         out = np.ones(coords.shape[0])
-        for j, fac in enumerate(self.factors):
-            out = out * fac.eval(coords[:, j])
+        for j, lo in enumerate(self.los):
+            out = out * self.interval.eval(coords[:, j] - lo)
         return out
 
     def compose_signal(self, psi: QMSystem) -> Signal:
@@ -385,54 +403,40 @@ class SmoothBox:
     def trig_norm(self) -> float:
         if self.d == 0:
             return 1.0
-        per_block = [sum(f.deg for f in self.factors[i * self.d:(i + 1) * self.d])
-                     for i in range(3)]
-        mass = 1.0
-        for f in self.factors:
-            mass *= f.coef_mass()
-        return float(max(max(per_block), mass))
+        G = self.interval
+        return float(max(self.d * G.deg, np.sum(np.abs(G.coeffs)) ** (3 * self.d)))
 
 
 def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
                       v: Sequence[int], eps: float) -> SmoothBox:
-    """Smoothed indicator of the generalised interval I_{R;t,u,v}.
+    """Smoothed indicator of the generalised interval I_{R;t,u,v}, for R a
+    power of two, eps in (0, 1] and t, u, v each d integers in [0, R).
 
-    Explicit construction: each circle coordinate gets G_j/(1 - t_in), with
-    G_j the convolution of the gamma-enlarged interval indicator
-    (gamma = 1/(4R)) with a Jackson kernel, so 0 <= F, F >= 1 on I, and
-    F <= eps/(10 R^{3d}) at distance > 2*gamma from I.  The kernel degree
-    auto-escalates once if the certified tail exceeds the per-factor
-    allowance; a tail still over it fails a check.
+    Explicit construction: each circle coordinate gets the shared
+    G = (1_J * K_n)/(1 - t_in) shifted to its interval, with J = [0, 1/R)
+    enlarged by gamma = 1/(4R) and K_n a Jackson kernel, so 0 <= F,
+    F >= 1 on I, and F <= eps/(10 R^{3d}) at distance > 2*gamma from I.
     """
-    if d == 0:
-        return SmoothBox(0, R, ((), (), ()), eps, 0.0, ())
-    if R < 1 or (R & (R - 1)) != 0:
-        raise ValueError("R must be a power of two")
-    gamma = 1.0 / (4 * R)
-    a_ceiling = eps / (10 * R ** (3 * d))
-    tau0 = a_ceiling / (8 * 3 * d)
-    sqrt2_frac = math.sqrt(2.0) - 1.0
-    n0 = max(4, math.ceil((3 / (16 * tau0 * gamma**4)) ** (1 / 3)))
-    factors = []
-    for idx in list(t) + list(u) + list(v):
-        lo = (idx / R + sqrt2_frac) % 1.0
-        fac = _build_factor(lo, 1.0 / R, gamma, tau0, n0)
-        if fac is None:
-            fac = _build_factor(lo, 1.0 / R, gamma, tau0, 2 * n0)  # escalate once
-        MarginReport.check("tail over its bound after escalation", int(fac is None), 0, lo=lo)
-        factors.append(fac)
-    return SmoothBox(d, R, (tuple(t), tuple(u), tuple(v)), eps, gamma,
-                     tuple(factors))
+    G = _shared_interval(d, R, eps)
+    key = (tuple(t), tuple(u), tuple(v))
+    for name, idx in zip("tuv", key):
+        if len(idx) != d or not all(isinstance(i, (int, np.integer)) and 0 <= i < R
+                                    for i in idx):
+            raise ValueError(f"{name} must hold d = {d} integers in [0, {R}), got {idx}")
+    return SmoothBox(d, R, key, eps, G)
 
 
 def smooth_majorant(atoms: PartitionAtoms, f: Signal, eps: float):
     """List of (coefficient, SmoothBox) whose composed sum dominates
-    Pi_R^Psi f pointwise when f >= 0 (one box per nonempty atom)."""
+    Pi_R^Psi f pointwise, for f real and >= 0 (one box per nonempty atom,
+    all sharing one smoothed interval)."""
+    if not np.all((f.values.imag == 0) & (f.values.real >= 0)):
+        raise ValueError("f must be real and >= 0 for a majorant")
+    G = _shared_interval(atoms.psi.d, atoms.R, eps)
     pf = project(atoms, f)
     out = []
     for key, xs in atoms.groups.items():
         lam = float(np.real(pf.values[int(xs[0])]))
         if lam != 0.0:
-            box = smooth_box_approx(atoms.psi.d, atoms.R, *key, eps=eps)
-            out.append((lam, box))
+            out.append((lam, SmoothBox(atoms.psi.d, atoms.R, key, eps, G)))
     return out

@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from fpharmonics.field import MultChar, mult_char_values, quad_phase_values
 from fpharmonics.harmonic import Signal
 from fpharmonics.qm import TrigPoly
+from fpharmonics.regularity import _jackson_coeffs
 
 
 def qm_basis_signal(ctx, r: int, s: int, k: int) -> Signal:
@@ -94,3 +97,39 @@ def interval_pattern_others(N: int, distinct: bool = False) -> list:
         for v in members:
             others[v].append(tuple(members - {v}))
     return others
+
+
+def box_factor_at(lo: float, d: int, R: int, eps: float) -> tuple:
+    """(coeffs over j = -deg..deg, tail) of the smoothed indicator of
+    [lo, lo + 1/R) as smooth boxes once built it for each coordinate on its
+    own: the gamma-enlarged interval at lo convolved with a Jackson kernel,
+    whose degree escalates once when the tail exceeds the per-factor
+    allowance.  The oracle for the one shared interval shifted to lo."""
+    width, gamma = 1.0 / R, 1.0 / (4 * R)
+    a_ceiling = eps / (10 * R ** (3 * d))
+    tau0 = a_ceiling / (8 * 3 * d)
+    n0 = max(4, math.ceil((3 / (16 * tau0 * gamma**4)) ** (1 / 3)))
+    for n in (n0, 2 * n0):
+        kc = _jackson_coeffs(n)
+        deg = 2 * n - 2
+        js = np.arange(-deg, deg + 1)
+        a, b = lo - gamma, lo + width + gamma
+        ind_hat = np.empty(2 * deg + 1, dtype=np.complex128)
+        nz = js != 0
+        ind_hat[~nz] = b - a
+        ind_hat[nz] = (np.exp(-2j * np.pi * js[nz] * a)
+                       - np.exp(-2j * np.pi * js[nz] * b)) / (2j * np.pi * js[nz])
+        inside = 2 * gamma + np.sum(kc[nz] * np.sin(2 * np.pi * js[nz] * gamma)
+                                    / (np.pi * js[nz]))
+        tail = max(0.0, 1.0 - float(inside))
+        if tail <= tau0:
+            scale = 1.0 / ((1.0 - tail) * (1.0 - 1e-8))
+            return ind_hat * kc * scale, tail
+    raise AssertionError(f"tail {tail} over its bound {tau0} after escalation")
+
+
+def trig_eval(coeffs, theta) -> np.ndarray:
+    """Re sum_j coeffs[j] e(j theta), j = -deg..deg, at each theta."""
+    deg = len(coeffs) // 2
+    ph = np.exp(2j * np.pi * np.outer(np.atleast_1d(theta), np.arange(-deg, deg + 1)))
+    return np.real(ph @ coeffs)

@@ -380,22 +380,22 @@ def test_energy_increment_within_budget():
 def test_smooth_box_four_properties():
     box = smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
     thetas = np.linspace(0, 1, 2000, endpoint=False)
-    for factor in box.factors:
-        vals = factor.eval(thetas)
+    for lo in box.los:
+        vals = box.interval.eval(thetas - lo)
         # nonnegative and real
         assert np.all(vals >= -1e-9)
         # bounded by the ceiling
         assert np.max(vals) <= box.ceiling + 1e-9
         # at least 1 on the target interval
-        inside = np.mod(thetas - factor.lo, 1.0) < factor.width
+        inside = np.mod(thetas - lo, 1.0) < 1 / box.R
         assert np.all(vals[inside] >= 1 - 1e-9)
     # small off the gamma-enlargement: audit the full product on a coarse
     # grid of points whose every coordinate is far from its interval
-    g = box.gamma
+    width, g = 1 / box.R, 1 / (4 * box.R)
     far = []
-    for factor in box.factors:
-        pos = np.mod(thetas - factor.lo, 1.0)
-        far.append(thetas[(pos > factor.width + 2 * g) & (pos < 1 - 2 * g)])
+    for lo in box.los:
+        pos = np.mod(thetas - lo, 1.0)
+        far.append(thetas[(pos > width + 2 * g) & (pos < 1 - 2 * g)])
     n = min(len(f) for f in far)
     coords = np.stack([f[:n] for f in far], axis=1)
     off_vals = box.eval_coords(coords)

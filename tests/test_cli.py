@@ -18,6 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fpharmonics
+from fpharmonics import counting
 from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.cli import build_parser, main
 from fpharmonics.field import FieldCtx
@@ -233,10 +234,14 @@ def test_kvn_delta_without_a_finite_budget_exits_two(delta, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["norms", "decompose", "kvn"])
-def test_oversized_p_for_the_p_by_p_kernels_exits_two(command, capsys):
-    # each once ended in a numpy MemoryError traceback, asking for one
-    # 100003 x 100003 complex table (74.5 GiB) before checking anything
+@pytest.mark.parametrize("command", ["norms", "decompose", "kvn", "verify"])
+def test_oversized_p_for_the_p_by_p_kernels_exits_two(command, capsys, monkeypatch):
+    # each of the first three once ended in a numpy MemoryError traceback,
+    # asking for one 100003 x 100003 complex table (74.5 GiB) before checking
+    # anything; verify once spent 84 s on its O(p^2) count example first
+    def refuse(*fs):
+        raise RuntimeError("T ran before the p x p refusal")
+    monkeypatch.setattr(counting, "T", refuse)
     assert main([command, "--p", "100003"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_GRID_PRIME = 2048" in err, err

@@ -306,7 +306,7 @@ def test_pair_coloring_matches_the_loop_oracles(rng):
         domain = {(t, u) for t in T for u in N}
         assert col.uncolored() == domain - set().union(*col.classes)
         for A in col.classes + (col.uncolored(),):
-            assert col.delta(A) == Fraction(
+            assert col._index.density(col._index.mask(A)) == Fraction(
                 sum(w for u, w in N.items() for t in T if (t, u) in A), n**3)
         for i, cls in enumerate(col.classes):
             assert col.lam(i) == Fraction(lambda_tables_dict(group, list(T), cls), n**5)

@@ -19,7 +19,7 @@ from fpharmonics.regularity import (_correlating_projection, build_atoms,
                                     kvn_energy_increment, project,
                                     quad_decompose, refines,
                                     smooth_box_approx, smooth_majorant)
-from reference import check_sqrt2_gap, qm_basis_signal
+from reference import box_factor_at, check_sqrt2_gap, qm_basis_signal, trig_eval
 
 
 def system(p, dims):
@@ -357,25 +357,85 @@ def test_kvn_fixture_p61():
 
 def test_smooth_box_d1_grid_audit():
     box = smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
-    ceiling = box.ceiling
+    G = box.interval
+    # G is real: its coefficients over j = -deg..deg are conjugate-symmetric
+    assert np.max(np.abs(G.coeffs[::-1] - np.conj(G.coeffs))) < 1e-12
     thetas = np.linspace(0, 1, 1000, endpoint=False)
-    # audit each coordinate factor over its own circle
-    for factor in box.factors:
-        vals = np.array([factor.eval(t) for t in thetas])
-        assert np.all(vals.real >= -1e-9)
-        assert np.all(np.abs(vals.imag) < 1e-9)
-        assert np.max(vals.real) <= ceiling + 1e-9
-        inside = (np.mod(thetas - factor.lo, 1.0) < factor.width)
-        assert np.all(vals.real[inside] >= 1 - 1e-9)
+    # audit each coordinate's shift of the shared interval over its own circle
+    for lo in box.los:
+        vals = G.eval(thetas - lo)
+        assert np.all(vals >= -1e-9)
+        assert np.max(vals) <= box.ceiling + 1e-9
+        inside = np.mod(thetas - lo, 1.0) < 1 / box.R
+        assert np.all(vals[inside] >= 1 - 1e-9)
     assert box.trig_norm() < np.inf
 
 
 def test_smooth_box_tail_over_its_bound_is_a_failed_claim(monkeypatch):
-    # a factor whose tail stays over the bound after escalation once raised
-    # RuntimeError, which the CLI does not report as a failed claim
-    monkeypatch.setattr(regularity, "_build_factor", lambda *args: None)
+    # an interval whose tail stays over the bound after escalation once
+    # raised RuntimeError, which the CLI does not report as a failed claim
+    monkeypatch.setattr(regularity, "_smooth_interval",
+                        lambda R, n: regularity.SmoothInterval(np.ones(1), 1.0))
     with pytest.raises(AssertionError, match="^tail over its bound after escalation: "):
         smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
+
+
+@pytest.mark.parametrize("d, R", [(1, 2), (1, 8), (2, 4)])
+def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
+    box = smooth_box_approx(d, R, (0,) * d, (R - 1,) * d, (R // 2,) * d, 0.5)
+    G = box.interval
+    sqrt2_frac = math.sqrt(2.0) - 1.0
+    los = [(idx / R + sqrt2_frac) % 1.0 for idx in range(R)] + [0.0, 0.3, 0.999]
+    assert set(box.los) <= set(los)
+    thetas = np.linspace(0, 1, 64, endpoint=False)
+    for lo in los:
+        coeffs, tail = box_factor_at(lo, d, R, 0.5)
+        assert tail == G.tail and len(coeffs) == len(G.coeffs)
+        assert np.max(np.abs(G.eval(thetas - lo) - trig_eval(coeffs, thetas))) < 1e-12
+    # the per-coordinate trig norm: the largest block degree, or the product
+    # of the 3d coefficient masses
+    old_mass = float(np.sum(np.abs(box_factor_at(box.los[0], d, R, 0.5)[0])))
+    assert box.trig_norm() == pytest.approx(max(d * G.deg, old_mass ** (3 * d)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, dims, R", [(13, [(1, 1)], 2), (101, [(3, 5), (7, 11)], 4)])
+def test_smooth_majorant_builds_one_kernel_whatever_the_atom_count(monkeypatch, p, dims, R):
+    calls = []
+    jackson = regularity._jackson_coeffs
+    monkeypatch.setattr(regularity, "_jackson_coeffs", lambda n: calls.append(n) or jackson(n))
+    atoms = build_atoms(system(p, dims), R)
+    pieces = smooth_majorant(atoms, Signal(cached_field(p), np.ones(p)), 0.5)
+    assert len(pieces) == atoms.n_atoms
+    assert 1 <= len(calls) <= 2  # once, plus one escalation
+    assert all(box.interval is pieces[0][1].interval for _, box in pieces)
+
+
+def _majorant_p13(values, eps=0.5):
+    atoms = build_atoms(system(13, [(1, 1)]), 2)
+    return smooth_majorant(atoms, Signal(cached_field(13), values), eps)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    # eps = 0 once raised ZeroDivisionError and eps = -0.5 TypeError
+    (smooth_box_approx, (1, 2, (1,), (0,), (1,), 0), "eps"),
+    (smooth_box_approx, (1, 2, (1,), (0,), (1,), -0.5), "eps"),
+    (smooth_box_approx, (1, 2, (1,), (0,), (1,), 1.5), "eps"),
+    (smooth_box_approx, (1, 2, (1,), (0,), (1,), math.nan), "eps"),
+    # t = (1, 2) at d = 1 once built 4 coordinates, and t = (7,) at R = 2 wrapped
+    (smooth_box_approx, (1, 2, (1, 2), (0,), (1,), 0.5), "t"),
+    (smooth_box_approx, (1, 2, (7,), (0,), (1,), 0.5), "t"),
+    (smooth_box_approx, (1, 2, (1,), (0.5,), (1,), 0.5), "u"),
+    (smooth_box_approx, (1, 2, (1,), (0,), (-1,), 0.5), "v"),
+    # d = 0 once returned before the R check
+    (smooth_box_approx, (0, 3, (), (), (), 0.5), "R"),
+    (smooth_box_approx, (1, 3, (1,), (0,), (1,), 0.5), "R"),
+    (_majorant_p13, (np.r_[-1.0, np.ones(12)],), "f"),
+    (_majorant_p13, (np.ones(13) + 1e-3j,), "f"),
+    (_majorant_p13, (np.ones(13), 0), "eps"),
+])
+def test_smooth_boxes_reject_bad_inputs(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build(*args)
 
 
 def test_smooth_majorant_dominates_indicator():
