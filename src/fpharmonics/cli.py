@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Every subcommand builds a plain report dict, prints a human-readable
-summary, and optionally writes the report as JSON or flattened CSV.
+summary, and optionally writes the report as JSON.
 Reports are deterministic functions of the flags (seeded RNGs, no
 timestamps), so identical invocations produce byte-identical files.
 A failed check exits 1; a usage or input error (ValueError, OSError) 2.
@@ -10,7 +10,6 @@ A failed check exits 1; a usage or input error (ValueError, OSError) 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ REPORT_SCHEMA_VERSION = 1
 # -- report plumbing ---------------------------------------------------------
 
 def _flatten(obj, prefix=""):
-    """Flatten a nested report into (key, value) rows for CSV emission."""
+    """Flatten a nested report into (key, value) rows for the stdout summary."""
     rows = []
     if isinstance(obj, dict):
         for k in obj:
@@ -70,15 +69,9 @@ def emit(report: dict, args) -> None:
         print(f"{key:40s} {value}")
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        if args.format == "json":
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        else:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["key", "value"])
-                writer.writerows(_flatten(report))
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 def _rng(args) -> np.random.Generator:
@@ -396,7 +389,7 @@ def cmd_verify(args):
 # -- argument parsing --------------------------------------------------------
 
 # Flags shared by several subcommands: (type, default).  A subcommand
-# accepts only the flags its cmd_* reads, plus --out and --format.
+# accepts only the flags its cmd_* reads, plus --out.
 COMMON_FLAGS = {"p": (int, 13), "r": (int, 2), "d": (int, 1),
                 "eps": (float, 0.5), "seed": (int, 0)}
 
@@ -418,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{flag}", type=kind,
                             default=defaults.get(flag, default))
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.set_defaults(func=func)
         return sp
 

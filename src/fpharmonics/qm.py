@@ -22,6 +22,10 @@ Z_p and Z_{p-1}: the annihilator of { xi : xi . a == 0 } in the dual torus
 is exactly the cyclic group generated by a/p (resp. k/(p-1)).  This is
 verified at runtime by the closure / annihilation property tests.
 
+A term (xi1, xi2, xi3) is on the lattices when its residues xi1 . a, xi2 . a
+mod p and xi3 . k mod p-1 are 0 (residues of sums add); the box fraction of
+H_Psi is a product of pigeonhole measures from check_pigeon_projection.
+
 A trig polynomial is evaluated from the context's root-of-unity tables:
 each term (xi1, xi2, xi3) gathers one phase table per coordinate block,
 roots_p[A xi1 % p], roots_p[B xi2 % p] and roots_pm1[C xi3 % (p-1)], for
@@ -35,7 +39,6 @@ lattices, so they check the lattice formulas independently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,20 +119,6 @@ def orbit_arrays(psi: QMSystem):
     dl = np.where(x == 0, 0, ctx.dlog[x])
     v = dl[:, None] * k[None, :] % (p - 1)
     return th1, th2, v
-
-
-@dataclass(frozen=True)
-class LatticeTests:
-    """Membership predicates for the frequency lattices of a system."""
-
-    psi: QMSystem
-
-    def in_lambda_plus(self, xi: Sequence[int]) -> bool:
-        return sum(int(x) * a for x, a in zip(xi, self.psi.a_vec)) % self.psi.ctx.p == 0
-
-    def in_lambda_times(self, xi: Sequence[int]) -> bool:
-        q = self.psi.ctx.p - 1
-        return sum(int(x) * k for x, k in zip(xi, self.psi.k_vec)) % q == 0
 
 
 @dataclass(frozen=True)
@@ -223,6 +212,13 @@ def _check_trig_budget(F: TrigPoly):
         raise ValueError(f"budget exceeded: trig norm {trig_norm(F):.2f} > {TRIG_MAX_NORM}")
 
 
+def _frequencies(F: TrigPoly) -> tuple:
+    """(X1, X2, X3, c): column j of the (d, m) int64 matrix Xb is block b
+    of the frequencies of term j of F, and c holds the coefficients."""
+    X = np.array(list(F.terms), dtype=np.int64).reshape(len(F.terms), 3, F.d)
+    return (*X.transpose(1, 2, 0), np.array(list(F.terms.values()), dtype=np.complex128))
+
+
 def _phase_tables(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
                   C: np.ndarray) -> tuple:
     """Per-term phase tables of F at numerator rows A, B (over p) and C
@@ -230,12 +226,18 @@ def _phase_tables(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
     E1[i, j] = e(A[i] . xi1_j / p), E2 and E3 likewise from B and C, and c
     the coefficients, for the terms j = 0..m-1 of F."""
     p = ctx.p
-    keys = list(F.terms)
-    X1, X2, X3 = (np.array([key[b] for key in keys], dtype=np.int64)
-                  .reshape(len(keys), F.d).T for b in range(3))
-    c = np.array(list(F.terms.values()), dtype=np.complex128)
+    X1, X2, X3, c = _frequencies(F)
     return (ctx.roots_p[A @ X1 % p], ctx.roots_p[B @ X2 % p],
             ctx.roots_pm1[C @ X3 % (p - 1)], c)
+
+
+def _lattice_residues(psi: QMSystem, F: TrigPoly) -> tuple:
+    """(r1, r2, r3, c) per term of F: r1 = xi1 . a mod p, r2 = xi2 . a
+    mod p, r3 = xi3 . k mod (p-1), and the coefficients.  xi1 and xi2 lie
+    in Lambda+ and xi3 in Lambdax exactly when r1 = r2 = r3 = 0."""
+    X1, X2, X3, c = _frequencies(F)
+    a, k = (np.array(v, dtype=np.int64) for v in (psi.a_vec, psi.k_vec))
+    return a @ X1 % psi.ctx.p, a @ X2 % psi.ctx.p, k @ X3 % (psi.ctx.p - 1), c
 
 
 def _product_blocks(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
@@ -286,18 +288,19 @@ def bohr_set(psi: QMSystem, eps) -> list:
 
 
 def box_fraction(psi: QMSystem, eps) -> tuple:
-    """(exact fraction of H_Psi inside the box X(eps), its floor eps^{3d}, asserted)."""
+    """(exact fraction of H_Psi inside the box X(eps), its floor eps^{3d}).
+    H_Psi is the image of Z_p^2 x Z_{p-1} under s -> s a/p, s k/(p-1), each
+    point hit equally often, so the fraction is m+^2 mx for the pigeonhole
+    measures of Z_p -> a/p and Z_{p-1} -> k/(p-1), each asserted >= eps^d."""
     eps = as_fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("need 0 < eps <= 1")
-    H = enumerate_H(psi)
-    p, q = psi.ctx.p, psi.ctx.p - 1
-    okp = _rows_within(H.gplus, p, eps)
-    okt = _rows_within(H.gtimes, q, eps)
-    inside = int(np.sum(okp)) ** 2 * int(np.sum(okt))
-    frac, floor = Fraction(inside, H.size), eps ** (3 * psi.d)
-    MarginReport.check("box fraction floor", floor, frac, p=p)
-    return frac, floor
+    if psi.d < 1:
+        raise ValueError("box_fraction needs d >= 1")
+    p = psi.ctx.p
+    mp, _ = check_pigeon_projection([p], [[Fraction(a, p) for a in psi.a_vec]], eps)
+    mt, _ = check_pigeon_projection([p - 1], [[Fraction(k, p - 1) for k in psi.k_vec]], eps)
+    return mp ** 2 * mt, eps ** (3 * psi.d)
 
 
 def check_bohr_density(psi: QMSystem, eps) -> tuple:
@@ -313,27 +316,37 @@ def check_bohr_density(psi: QMSystem, eps) -> tuple:
 def check_pigeon_projection(factors: Sequence[int], pi, delta) -> tuple:
     """For G = prod Z_{n_j} and a homomorphism pi into (R/Z)^d given by the
     images of the generators (d-vectors of rationals), return the exact
-    measure of { x : |pi(x)| <= delta } and the floor delta^d."""
+    measure of { x : |pi(x)| <= delta } and the floor delta^d, asserted.
+    pi(x) is an integer row over the common denominator L of the images (L
+    divides lcm(n_j)); x runs over G in blocks of about ROW_BLOCK values as
+    the mixed-radix digits of an index range, |G| <= H_ENUM_BUDGET."""
     delta = as_fraction(delta)
-    images = [tuple(as_fraction(c) for c in gen) for gen in pi]
-    if len(images) != len(factors):
-        raise ValueError("one generator image per cyclic factor required")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    images = [[as_fraction(c) for c in gen] for gen in pi]
     d = len(images[0]) if images else 0
-    order = 1
-    for n in factors:
-        order *= n
+    if len(images) != len(factors) or any(len(gen) != d for gen in images):
+        raise ValueError(f"pi: need {len(factors)} generator images of one length d")
+    if any(not isinstance(n, (int, np.integer)) or n < 1 for n in factors):
+        raise ValueError(f"factors must be integers >= 1, got {list(factors)}")
+    order = math.prod(factors)
+    if order > H_ENUM_BUDGET:
+        raise ValueError(f"budget exceeded: factors give |G| = {order} > {H_ENUM_BUDGET}")
+    if any(n % c.denominator for n, gen in zip(factors, images) for c in gen):
+        raise ValueError("pi: n_j times the image of generator j must be integral")
+    L = math.lcm(*(c.denominator for gen in images for c in gen))
+    nums = [np.array([c.numerator * (L // c.denominator) % L for c in gen], dtype=np.int64)
+            for gen in images]
+    step = max(1, ROW_BLOCK // max(d, 1))
     count = 0
-    for x in itertools.product(*(range(n) for n in factors)):
-        ok = True
-        for j in range(d):
-            coord = sum(x[i] * images[i][j] for i in range(len(factors))) % 1
-            if min(coord, 1 - coord) > delta:
-                ok = False
-                break
-        if ok:
-            count += 1
-    measure = Fraction(count, order)
-    bound = delta ** d
+    for lo in range(0, order, step):
+        rest = np.arange(lo, min(lo + step, order), dtype=np.int64)
+        rows = np.zeros((len(rest), d), dtype=np.int64)
+        for n, num in zip(factors, nums):
+            rows += (rest % n)[:, None] * num
+            rest //= n
+        count += int(np.count_nonzero(_rows_within(rows % L, L, delta)))
+    measure, bound = Fraction(count, order), delta ** d
     MarginReport.check("pigeonhole projection floor", bound, measure)
     return measure, bound
 
@@ -350,14 +363,9 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     summed over the off-lattice terms."""
     _check_trig_budget(F)
     lhs = complex(np.mean(compose_signal(psi, F).values))
-    lat = LatticeTests(psi)
-    rhs = off_mass = 0
-    for (x1, x2, x3), c in F.terms.items():
-        if (lat.in_lambda_plus(x1) and lat.in_lambda_plus(x2)
-                and lat.in_lambda_times(x3)):
-            rhs += c
-        else:
-            off_mass += abs(c)
+    r1, r2, r3, c = _lattice_residues(psi, F)
+    on = (r1 == 0) & (r2 == 0) & (r3 == 0)
+    rhs, off_mass = complex(c @ on), float(np.abs(c) @ ~on)
     if psi.d >= 1:
         H = enumerate_H(psi)
         if H.size <= H_ENUM_BUDGET:
@@ -392,29 +400,19 @@ def counting_integral_I(psi: QMSystem, F: TrigPoly,
     when |H|^2 is within budget.
     """
     _check_trig_budget(F)
-    lat = LatticeTests(psi)
-    total = 0.0 + 0.0j
-    items = list(F.terms.items())
-    for (a1, a2, a3), ca in items:
-        for (b1, b2, b3), cb in items:
-            t_key = tuple(x + y for x, y in zip(a1, b1))
-            u_key = tuple(x + y for x, y in zip(a2, b2))
-            if not (lat.in_lambda_plus(t_key) and lat.in_lambda_plus(u_key)
-                    and lat.in_lambda_times(b3)):
-                continue
-            for (c1, c2, c3), cc in items:
-                if not lat.in_lambda_plus(c1):
-                    continue
-                up_key = tuple(x + y for x, y in zip(b1, c2))
-                v_key = tuple(x + y for x, y in zip(a3, c3))
-                if lat.in_lambda_plus(up_key) and lat.in_lambda_times(v_key):
-                    total += ca * cb * cc
+    p = psi.ctx.p
+    r1, r2, r3, c = _lattice_residues(psi, F)
+    # the six conditions as masks over term pairs [A, B], [B, C] and [A, C]
+    AB = ((r1[:, None] + r1) % p == 0) & ((r2[:, None] + r2) % p == 0) & (r3 == 0)
+    BC = ((r1[:, None] + r2) % p == 0) & (r1 == 0)
+    AC = (r3[:, None] + r3) % (p - 1) == 0
+    total = complex(c @ (((AB * c) @ BC) * AC) @ c)
     if cross_check is None:
         cross_check = psi.d >= 1 and enumerate_H(psi).size ** 2 <= H_SQUARED_BUDGET
     if cross_check:
         direct = counting_integral_direct(psi, F)
         MarginReport.check("I(F) mismatch", abs(total - direct), 0.0, I=total, direct=direct)
-    return complex(total)
+    return total
 
 
 def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:

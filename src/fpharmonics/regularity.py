@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
-from .counting import TOL, MarginReport
+from .counting import ROW_BLOCK, TOL, MarginReport
 from .field import FieldCtx, quad_phase_values
 from .harmonic import (NormResult, Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
@@ -316,9 +316,15 @@ class SmoothInterval:
         return len(self.coeffs) // 2
 
     def eval(self, theta: np.ndarray) -> np.ndarray:
+        """G at each theta, from phase blocks of about ROW_BLOCK entries."""
+        theta = np.atleast_1d(theta)
         js = np.arange(-self.deg, self.deg + 1)
-        ph = np.exp(2j * np.pi * np.outer(np.atleast_1d(theta), js))
-        return np.real(ph @ self.coeffs)
+        step = max(1, ROW_BLOCK // len(js))
+        out = np.empty(len(theta))
+        for lo in range(0, len(theta), step):
+            out[lo:lo + step] = np.real(
+                np.exp(2j * np.pi * np.outer(theta[lo:lo + step], js)) @ self.coeffs)
+        return out
 
 
 def _smooth_interval(R: int, n: int) -> SmoothInterval:

@@ -16,6 +16,7 @@ package's exact integer codes do not rely on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -133,3 +134,66 @@ def trig_eval(coeffs, theta) -> np.ndarray:
     deg = len(coeffs) // 2
     ph = np.exp(2j * np.pi * np.outer(np.atleast_1d(theta), np.arange(-deg, deg + 1)))
     return np.real(ph @ coeffs)
+
+
+def pigeon_measure_loop(factors, images, delta) -> Fraction:
+    """The measure of { x in prod Z_{n_j} : |pi(x)| <= delta } by one
+    Fraction sum per coordinate of every element: the loop that
+    check_pigeon_projection once ran, kept as its oracle."""
+    d = len(images[0]) if images else 0
+    count = 0
+    for x in itertools.product(*(range(n) for n in factors)):
+        ok = True
+        for j in range(d):
+            coord = sum(x[i] * Fraction(images[i][j]) for i in range(len(factors))) % 1
+            if min(coord, 1 - coord) > delta:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return Fraction(count, math.prod(factors))
+
+
+def _in_lambda_plus(psi, xi) -> bool:
+    return sum(int(x) * a for x, a in zip(xi, psi.a_vec)) % psi.ctx.p == 0
+
+
+def _in_lambda_times(psi, xi) -> bool:
+    return sum(int(x) * k for x, k in zip(xi, psi.k_vec)) % (psi.ctx.p - 1) == 0
+
+
+def baby_count_lattice_sum(psi, F) -> tuple:
+    """(sum of the on-lattice coefficients, mass of the off-lattice ones)
+    of F, one Python dot product per frequency vector: the lattice test
+    baby_count once ran, kept as the oracle for its residue masks."""
+    rhs = off_mass = 0
+    for (x1, x2, x3), c in F.terms.items():
+        if (_in_lambda_plus(psi, x1) and _in_lambda_plus(psi, x2)
+                and _in_lambda_times(psi, x3)):
+            rhs += c
+        else:
+            off_mass += abs(c)
+    return rhs, off_mass
+
+
+def counting_integral_loop(psi, F) -> complex:
+    """I(F) as the triple loop over coefficient triples (A, B, C) with the
+    six lattice conditions tested by Python dot products: the sum
+    counting_integral_I once ran, kept as the oracle for its masks."""
+    total = 0j
+    items = list(F.terms.items())
+    for (a1, a2, a3), ca in items:
+        for (b1, b2, b3), cb in items:
+            t_key = tuple(x + y for x, y in zip(a1, b1))
+            u_key = tuple(x + y for x, y in zip(a2, b2))
+            if not (_in_lambda_plus(psi, t_key) and _in_lambda_plus(psi, u_key)
+                    and _in_lambda_times(psi, b3)):
+                continue
+            for (c1, c2, c3), cc in items:
+                if not _in_lambda_plus(psi, c1):
+                    continue
+                up_key = tuple(x + y for x, y in zip(b1, c2))
+                v_key = tuple(x + y for x, y in zip(a3, c3))
+                if _in_lambda_plus(psi, up_key) and _in_lambda_times(psi, v_key):
+                    total += ca * cb * cc
+    return total

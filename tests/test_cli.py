@@ -125,15 +125,6 @@ def test_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_csv_format(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["norms", "--p", "7", "--seed", "0", "--format", "csv",
-                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "key"
-    assert any(row.startswith("schema,") for row in lines)
-
-
 def test_census_with_coloring_file(tmp_path, capsys):
     col = {"assign": [i % 2 for i in range(7)], "r": 2}
     path = tmp_path / "col.json"
@@ -336,7 +327,7 @@ def test_subcommand_takes_only_flags_it_reads(command):
     assert "--threads" not in sp.format_help()
     source = inspect.getsource(sp.get_default("func"))
     for action in sp._actions:
-        if action.dest in ("help", "out", "format"):
+        if action.dest in ("help", "out"):
             continue
         read = f"args.{action.dest}" in source
         if action.dest == "seed":

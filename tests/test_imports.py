@@ -136,7 +136,6 @@ ROADMAP_OWNED = {
     "calibration.calibrate_gvnqm": 4,
     "calibration.calibrate_mixed_sum": 4,
     "calibration.calibrate_countlemma": 4,
-    "qm.check_pigeon_projection": 7,
     "regularity.smooth_majorant": 7,
 }
 

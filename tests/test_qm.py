@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,14 +15,16 @@ import pytest
 import fpharmonics
 from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.field import cached_field
-from fpharmonics.qm import (LatticeTests, QMSystem, TrigPoly,
-                            _average_over_H, as_fraction, baby_count, bohr_set,
-                            box_fraction, check_bohr_density,
-                            check_pigeon_projection, compose_signal,
-                            counting_integral_I, counting_integral_direct,
-                            counting_lemma_check, enumerate_H, orbit_arrays,
-                            trig_norm)
-from reference import constant_trig_poly, orbit_metric
+from fpharmonics.qm import (H_ENUM_BUDGET, QMSystem, TrigPoly,
+                            _average_over_H, _lattice_residues, as_fraction,
+                            baby_count, bohr_set, box_fraction,
+                            check_bohr_density, check_pigeon_projection,
+                            compose_signal, counting_integral_I,
+                            counting_integral_direct, counting_lemma_check,
+                            enumerate_H, orbit_arrays, trig_norm)
+from reference import (baby_count_lattice_sum, constant_trig_poly,
+                       counting_integral_loop, orbit_metric,
+                       pigeon_measure_loop)
 
 
 def system(p, dims):
@@ -89,15 +93,16 @@ def test_enumerate_H_matches_dedup_orbits(rng):
 def test_H_annihilates_lattices():
     psi = system(7, [(1, 2), (2, 4)])
     H = enumerate_H(psi)
-    lat = LatticeTests(psi)
-    # every lattice vector pairs to an integer against every H element
-    for xi in [(1, 0), (0, 1), (3, 2), (5, 5)]:
-        if lat.in_lambda_plus(xi):
-            for row in H.gplus:
-                assert sum(x * int(r) for x, r in zip(xi, row)) % 7 == 0
-        if lat.in_lambda_times(xi):
-            for row in H.gtimes:
-                assert sum(x * int(r) for x, r in zip(xi, row)) % 6 == 0
+    xis = [(1, 0), (0, 1), (3, 2), (5, 5), (1, 3), (3, 0)]
+    r1, r2, r3, _ = _lattice_residues(psi, TrigPoly(2, {(xi, xi, xi): 1.0 for xi in xis}))
+    assert np.array_equal(r1, r2)
+    assert 0 < np.count_nonzero(r1 == 0) < len(xis)
+    assert 0 < np.count_nonzero(r3 == 0) < len(xis)
+    # a vector has residue 0 exactly when it pairs to an integer against
+    # every H element
+    X = np.array(xis).T
+    assert np.array_equal(r1 == 0, np.all(H.gplus @ X % 7 == 0, axis=0))
+    assert np.array_equal(r3 == 0, np.all(H.gtimes @ X % 6 == 0, axis=0))
 
 
 def test_trig_norm_fixtures():
@@ -131,7 +136,7 @@ def test_box_fraction_asserts_its_floor(monkeypatch):
     # once came back as (0, floor) with nothing checked
     monkeypatch.setattr("fpharmonics.qm._rows_within",
                         lambda rows, den, eps: np.zeros(len(rows), dtype=bool))
-    with pytest.raises(AssertionError, match="^box fraction floor: "):
+    with pytest.raises(AssertionError, match="^pigeonhole projection floor: "):
         box_fraction(system(7, [(1, 1)]), Fraction(1, 2))
 
 
@@ -177,6 +182,55 @@ def test_pigeon_projection_prime_suite(p):
     measure, bound = check_pigeon_projection(
         [p], [(Fraction(1, p),)], Fraction(1, 4))
     assert measure >= bound
+
+
+def test_pigeon_projection_matches_the_fraction_loop(rng):
+    for trial in range(240):
+        factors = [int(n) for n in rng.integers(1, 9, int(rng.integers(0, 4)))]
+        d = int(rng.integers(0, 4))
+        # n_j pi(e_j) integral: numerators over n_j, some outside [0, n_j)
+        images = [[Fraction(int(rng.integers(-n, 2 * n + 1)), n) for _ in range(d)]
+                  for n in factors]
+        delta = (Fraction(int(rng.integers(1, 13)), 12) if trial % 3
+                 else float(rng.uniform(0.01, 1.0)))
+        measure, bound = check_pigeon_projection(factors, images, delta)
+        assert measure == pigeon_measure_loop(factors, images, as_fraction(delta))
+        assert bound == as_fraction(delta) ** (d if factors else 0)
+
+
+@pytest.mark.parametrize("factors, images, delta, name", [
+    ([5], [(Fraction(1, 5),)], -1, "delta"),
+    ([5], [(Fraction(1, 5),)], 0, "delta"),
+    ([5], [(Fraction(1, 5),)], 3, "delta"),
+    ([5], [], Fraction(1, 4), "pi"),
+    ([5, 5], [(Fraction(1, 5),)], Fraction(1, 4), "pi"),
+    ([5, 5], [(Fraction(1, 5),), (Fraction(1, 5), 0)], Fraction(1, 4), "pi"),
+    ([4], [(Fraction(1, 3),)], Fraction(1, 4), "pi"),
+    ([0], [(0,)], Fraction(1, 4), "factors"),
+    ([5, -1], [(0,), (0,)], Fraction(1, 4), "factors"),
+    ([3.0], [(0,)], Fraction(1, 4), "factors"),
+    ([10**4, 10**3 + 1], [(0,), (0,)], Fraction(1, 4), "budget"),
+])
+def test_pigeon_projection_rejects_bad_inputs(factors, images, delta, name):
+    with pytest.raises(ValueError, match=name):
+        check_pigeon_projection(factors, images, delta)
+
+
+def test_pigeon_projection_walks_G_in_blocks():
+    # |G| = 10^6 with d = 2: one unblocked pass would hold hundreds of MB.
+    # pi(x) = ((x1 + x3)/100, (x2 + x3)/100): for each x3 a bijection of
+    # Z_100^2, so 21^2 of every 100^2 elements are within 1/10
+    factors = [100, 100, 100]
+    images = [(Fraction(1, 100), 0), (0, Fraction(1, 100)), (Fraction(1, 100),) * 2]
+    assert math.prod(factors) <= H_ENUM_BUDGET
+    tracemalloc.start()
+    try:
+        measure, _ = check_pigeon_projection(factors, images, Fraction(1, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure == Fraction(21**2, 100**2)
+    assert peak < 16 * 2**20, peak
 
 
 def test_baby_count_constant():
@@ -267,6 +321,23 @@ def test_as_fraction_rejects_non_finite(x):
         as_fraction(x)
 
 
+def test_lattice_residue_sums_match_the_dot_product_loops(rng):
+    hits = {"rhs": 0, "I": 0}
+    for _ in range(130):
+        p = int(rng.choice([5, 7, 11, 13, 17]))
+        d = int(rng.integers(1, 4))
+        for psi in oracle_systems(p, d, rng):
+            F = TrigPoly.random(d, rng, n_terms=int(rng.integers(1, 7)),
+                                max_freq=int(rng.integers(1, 3)))
+            rhs, _ = baby_count_lattice_sum(psi, F)
+            assert abs(baby_count(psi, F)[1] - rhs) <= 1e-12
+            I = counting_integral_loop(psi, F)
+            assert abs(counting_integral_I(psi, F, cross_check=False) - I) <= 1e-12
+            hits["rhs"] += rhs != 0
+            hits["I"] += I != 0
+    assert min(hits.values()) >= 100, hits
+
+
 def test_baby_count_asserts_the_single_mode_bound(monkeypatch):
     psi = system(11, [(1, 1)])
     F = TrigPoly(1, {((1,), (0,), (0,)): 1.0, ((0,), (0,), (0,)): 0.5})
@@ -277,7 +348,10 @@ def test_baby_count_asserts_the_single_mode_bound(monkeypatch):
 
 
 def test_cross_checks_fire_when_the_lattice_test_lies(monkeypatch):
-    monkeypatch.setattr(LatticeTests, "in_lambda_plus", lambda self, xi: True)
+    def every_term_on_the_lattices(psi, F):
+        *residues, c = _lattice_residues(psi, F)
+        return (*(np.zeros_like(r) for r in residues), c)
+    monkeypatch.setattr("fpharmonics.qm._lattice_residues", every_term_on_the_lattices)
     F = TrigPoly(1, {((1,), (0,), (0,)): 1.0})
     with pytest.raises(AssertionError, match="orthogonality mismatch"):
         baby_count(system(11, [(1, 1)]), F)

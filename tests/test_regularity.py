@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,20 @@ def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
     # of the 3d coefficient masses
     old_mass = float(np.sum(np.abs(box_factor_at(box.los[0], d, R, 0.5)[0])))
     assert box.trig_norm() == pytest.approx(max(d * G.deg, old_mass ** (3 * d)), rel=1e-12)
+
+
+def test_smooth_box_evaluates_in_bounded_memory():
+    # d = 2, R = 4: G has 2 * 7284 + 1 coefficients, and one phase matrix
+    # over the 101 orbit points held 45 MB
+    box = smooth_box_approx(2, 4, (0, 1), (2, 3), (1, 0), 0.5)
+    psi = system(101, [(3, 5), (7, 11)])
+    tracemalloc.start()
+    try:
+        box.compose_signal(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("p, dims, R", [(13, [(1, 1)], 2), (101, [(3, 5), (7, 11)], 4)])
