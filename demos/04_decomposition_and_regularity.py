@@ -12,7 +12,7 @@ Three pieces of the structural toolkit:
     within an audited iteration budget.
   * smooth_box_approx builds a nonnegative trigonometric majorant of an
     atom indicator, the bridge from measurable colorings to the counting
-    lemma's trig-polynomial inputs.
+    lemma's trig-polynomial inputs; here at KvN's scale d = 2, R = 32.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ print(f"  atoms in the final partition: {atoms.n_atoms}")
 print(f"  ||f2 - proj f2||_2 = "
       f"{Signal(ctx61, f2.values - g.values).lp_norm(2):.4f}")
 
-box = smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
-print(f"\nsmoothed box for one interval triple at R = 2:")
-print(f"  ceiling = {box.ceiling:.6f}, trig norm = {box.trig_norm():.1f}")
+box = smooth_box_approx(2, 32, (1, 5), (0, 31), (16, 3), 0.5)
+print(f"\nsmoothed box for one interval triple at d = 2, R = 32:")
+print(f"  Fejer-power degree = {box.interval.deg}, ceiling = 1 + {box.ceiling - 1:.3e}, "
+      f"trig norm = {box.trig_norm():.1f}")

@@ -40,7 +40,7 @@ lattices, so they check the lattice formulas independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -161,10 +161,13 @@ def enumerate_H(psi: QMSystem) -> HGroup:
 @dataclass(frozen=True)
 class TrigPoly:
     """Sparse trig polynomial on G^d: terms maps (xi1, xi2, xi3) in (Z^d)^3
-    (each a length-d int tuple) to a complex coefficient."""
+    (each a length-d int tuple) to a complex coefficient.  _arrays, built
+    once at construction, is (X1, X2, X3, c): column j of the (d, m) int64
+    matrix Xb is block b of the frequencies of term j, c the coefficients."""
 
     d: int
     terms: dict
+    _arrays: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -177,6 +180,9 @@ class TrigPoly:
             if c != 0:
                 clean[key] = complex(c)
         object.__setattr__(self, "terms", clean)
+        X = np.array(list(clean), dtype=np.int64).reshape(len(clean), 3, self.d)
+        coeffs = np.array(list(clean.values()), dtype=np.complex128)
+        object.__setattr__(self, "_arrays", (*X.transpose(1, 2, 0), coeffs))
 
     @staticmethod
     def random(d: int, rng: np.random.Generator, n_terms: int = 3,
@@ -212,13 +218,6 @@ def _check_trig_budget(F: TrigPoly):
         raise ValueError(f"budget exceeded: trig norm {trig_norm(F):.2f} > {TRIG_MAX_NORM}")
 
 
-def _frequencies(F: TrigPoly) -> tuple:
-    """(X1, X2, X3, c): column j of the (d, m) int64 matrix Xb is block b
-    of the frequencies of term j of F, and c holds the coefficients."""
-    X = np.array(list(F.terms), dtype=np.int64).reshape(len(F.terms), 3, F.d)
-    return (*X.transpose(1, 2, 0), np.array(list(F.terms.values()), dtype=np.complex128))
-
-
 def _phase_tables(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
                   C: np.ndarray) -> tuple:
     """Per-term phase tables of F at numerator rows A, B (over p) and C
@@ -226,7 +225,7 @@ def _phase_tables(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
     E1[i, j] = e(A[i] . xi1_j / p), E2 and E3 likewise from B and C, and c
     the coefficients, for the terms j = 0..m-1 of F."""
     p = ctx.p
-    X1, X2, X3, c = _frequencies(F)
+    X1, X2, X3, c = F._arrays
     return (ctx.roots_p[A @ X1 % p], ctx.roots_p[B @ X2 % p],
             ctx.roots_pm1[C @ X3 % (p - 1)], c)
 
@@ -235,7 +234,7 @@ def _lattice_residues(psi: QMSystem, F: TrigPoly) -> tuple:
     """(r1, r2, r3, c) per term of F: r1 = xi1 . a mod p, r2 = xi2 . a
     mod p, r3 = xi3 . k mod (p-1), and the coefficients.  xi1 and xi2 lie
     in Lambda+ and xi3 in Lambdax exactly when r1 = r2 = r3 = 0."""
-    X1, X2, X3, c = _frequencies(F)
+    X1, X2, X3, c = F._arrays
     a, k = (np.array(v, dtype=np.int64) for v in (psi.a_vec, psi.k_vec))
     return a @ X1 % psi.ctx.p, a @ X2 % psi.ctx.p, k @ X3 % (psi.ctx.p - 1), c
 

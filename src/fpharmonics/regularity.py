@@ -284,32 +284,28 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
 
 # -- smoothed box approximants -------------------------------------------------
 
-def _jackson_coeffs(n: int) -> np.ndarray:
-    """Fourier coefficients of the normalized Jackson kernel
-    K_n(theta) = alpha (sin(n pi theta)/sin(pi theta))^4, degree 2n-2.
-    Returned as an array over j = -(2n-2) .. (2n-2), with sum-integral 1."""
-    deg = 2 * n - 2
-    L = max(4 * n, 8)
-    m = np.arange(L)
-    theta = m / L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(n * np.pi * theta) / np.sin(np.pi * theta)
-    ratio[0] = n
-    k = ratio ** 4
-    chat = np.fft.fft(k) / L
-    idx = np.arange(-deg, deg + 1) % L
-    coeffs = np.real(chat[idx])
-    return coeffs / coeffs[deg]  # normalize so the j = 0 coefficient is 1
+def _fejer_power(n: int, k: int) -> tuple:
+    """(coefficients over j = -k(n-1)..k(n-1), c) of K_{n,k} = |D_n|^{2k}/c,
+    D_n(theta) = sum_{0<=j<n} e(j theta), c = int |D_n|^{2k}: the
+    autocorrelation of the coefficients of P^k, P = 1 + x + ... + x^{n-1},
+    over its central one.  All sums are positive, and (P/n)^k cannot overflow."""
+    a = np.ones(1)
+    for _ in range(k):
+        a = np.convolve(a, np.full(n, 1.0 / n))
+    auto = np.convolve(a, a[::-1])
+    centre = auto[len(a) - 1]
+    return auto / centre, float(centre) * float(n) ** (2 * k)
 
 
 @dataclass(frozen=True)
 class SmoothInterval:
     """The smoothed indicator of [0, 1/R) that every box coordinate at
-    scale R shifts: G = (1_J * K_n)/(1 - tail), J = [-gamma, 1/R + gamma].
-    The coordinate whose interval starts at lo takes G(theta - lo)."""
+    scale R shifts: G = (1_J * K_{n,k})/(1 - tau0), J = [-gamma, 1/R + gamma],
+    with K_{n,k} a Fejer power and tau0 the per-factor allowance.  The
+    coordinate whose interval starts at lo takes G(theta - lo)."""
 
     coeffs: np.ndarray  # over j = -deg..deg
-    tail: float         # certified t_in = 1 - int_{|u|<=gamma} K_n
+    tail: float         # analytic bound on 1 - int_{|u|<=gamma} K_{n,k}
 
     @property
     def deg(self) -> int:
@@ -327,30 +323,17 @@ class SmoothInterval:
         return out
 
 
-def _smooth_interval(R: int, n: int) -> SmoothInterval:
-    """G at kernel parameter n, with gamma = 1/(4R) and its exact tail."""
-    kc = _jackson_coeffs(n)
-    deg = 2 * n - 2
-    js = np.arange(-deg, deg + 1)
-    gamma = 1.0 / (4 * R)
-    a, b = -gamma, 1.0 / R + gamma
-    # 1_J hat: integral of e(-j theta) over [a, b]
-    ind_hat = np.full(2 * deg + 1, b - a, dtype=np.complex128)
-    nz = js != 0
-    ind_hat[nz] = (np.exp(-2j * np.pi * js[nz] * a)
-                   - np.exp(-2j * np.pi * js[nz] * b)) / (2j * np.pi * js[nz])
-    # exact trig-poly integral of K over [-gamma, gamma]
-    inside = 2 * gamma + np.sum(kc[nz] * np.sin(2 * np.pi * js[nz] * gamma)
-                                / (np.pi * js[nz]))
-    tail = max(0.0, 1.0 - float(inside))
-    scale = 1.0 / ((1.0 - tail) * (1.0 - 1e-8))
-    return SmoothInterval(coeffs=ind_hat * kc * scale, tail=tail)
-
-
 def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
-    """The one G of every box at (d, R, eps), None when d = 0.  The kernel
-    degree escalates once if the certified tail exceeds the per-factor
-    allowance tau0; a tail still over it fails a check."""
+    """The one G of every box at (d, R, eps), None when d = 0.
+
+    Each of the 3d factors may lose tau0 = eps/(10 R^{3d})/(24 d) of kernel
+    mass outside [-gamma, gamma], gamma = 1/(4R); K_{n,k} loses at most
+    (2 gamma)^{1-2k}/((2k - 1) c_{n,k}), as |sin pi u| >= 2|u| on [-1/2,
+    1/2].  c_{n,k} >= (2n/pi)^{2k}/n gives the least n with that bound <=
+    tau0 in closed form; k walks up from Jackson's 2 (k = 1 never wins at
+    tau0 <= 1/240) while the degree k(n - 1) falls.  G >= 1 on I holds with
+    margin tau0 - bound, so tau0 must exceed float64's resolution of G,
+    whose l1 mass is at most |J| + (2/pi)(1 + ln deg)."""
     if R < 1 or (R & (R - 1)) != 0:
         raise ValueError(f"R must be a power of two, got {R}")
     if not 0 < eps <= 1:
@@ -358,22 +341,37 @@ def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
     if d == 0:
         return None
     tau0 = eps / (10 * R ** (3 * d)) / (8 * 3 * d)
-    n0 = max(4, math.ceil((3 / (16 * tau0 * (1.0 / (4 * R))**4)) ** (1 / 3)))
-    G = _smooth_interval(R, n0)
-    if G.tail > tau0:
-        G = _smooth_interval(R, 2 * n0)  # escalate once
-    MarginReport.check("tail over its bound after escalation", int(G.tail > tau0), 0,
-                       tail=G.tail, tau0=tau0)
-    return G
+    gamma = 1.0 / (4 * R)
+    width = 1.0 / R + 2 * gamma  # of J
+    def least_n(k):
+        return math.ceil(2 * R * (math.pi / 2) ** (2 * k / (2 * k - 1))
+                         / ((2 * k - 1) * tau0) ** (1 / (2 * k - 1)))
+    k, n = 2, least_n(2)
+    while (k + 1) * (least_n(k + 1) - 1) < k * (n - 1):
+        k, n = k + 1, least_n(k + 1)
+    deg = k * (n - 1)
+    if tau0 <= np.finfo(float).eps * (width + 2 / math.pi * (1 + math.log(deg))):
+        raise ValueError(f"eps = {eps} at d = {d}, R = {R} leaves a tail allowance "
+                         f"tau0 = {tau0:.3g} below float64 resolution")
+    kc, c = _fejer_power(n, k)
+    js = np.arange(-deg, deg + 1)
+    bound = (2 * R) ** (2 * k - 1) / ((2 * k - 1) * c)
+    # exact trig-poly integral of K outside [-gamma, gamma]
+    tail = 1.0 - 2 * gamma * float(np.sum(kc * np.sinc(2 * gamma * js)))
+    MarginReport.check("analytic tail over tau0", int(bound > tau0), 0, bound=bound, tau0=tau0)
+    MarginReport.check("numerical tail over tau0", int(tail > tau0), 0, tail=tail, tau0=tau0)
+    # 1_J hat: the integral of e(-j theta) over J, centred at 1/(2R)
+    ind_hat = width * np.sinc(width * js) * np.exp(-1j * np.pi * js / R)
+    return SmoothInterval(coeffs=ind_hat * kc / (1 - tau0), tail=bound)
 
 
 @dataclass(frozen=True)
 class SmoothBox:
     """Product over the 3d circle coordinates of shifts of one smoothed
-    interval; F >= 1 on the generalised interval I_{R;t,u,v}, F <= the
-    small ceiling off the gamma-enlargement, 0 <= F <= 1 + eps/(10 R^{3d}).
-    Kept in factored form: the tensor-product coefficients are never
-    materialized."""
+    interval G = (1_J * K_{n,k})/(1 - tau0); F >= 1 on the generalised
+    interval I_{R;t,u,v}, F small off the gamma-enlargement, and 0 <= F <=
+    1 + eps/(10 R^{3d}).  Kept in factored form: the tensor-product
+    coefficients are never materialized."""
 
     d: int
     R: int
@@ -419,9 +417,10 @@ def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
     power of two, eps in (0, 1] and t, u, v each d integers in [0, R).
 
     Explicit construction: each circle coordinate gets the shared
-    G = (1_J * K_n)/(1 - t_in) shifted to its interval, with J = [0, 1/R)
-    enlarged by gamma = 1/(4R) and K_n a Jackson kernel, so 0 <= F,
-    F >= 1 on I, and F <= eps/(10 R^{3d}) at distance > 2*gamma from I.
+    G = (1_J * K_{n,k})/(1 - tau0) shifted to its interval, with J = [0, 1/R)
+    enlarged by gamma = 1/(4R) and K_{n,k} a Fejer power, so 0 <= F <= the
+    ceiling, F >= 1 on I, and F <= eps/(10 R^{3d}) at distance > 2*gamma
+    from I.  Rejects (d, R, eps) whose tau0 float64 cannot resolve.
     """
     G = _shared_interval(d, R, eps)
     key = (tuple(t), tuple(u), tuple(v))

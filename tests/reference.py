@@ -25,7 +25,7 @@ import numpy as np
 from fpharmonics.field import MultChar, mult_char_values, quad_phase_values
 from fpharmonics.harmonic import Signal
 from fpharmonics.qm import TrigPoly
-from fpharmonics.regularity import _jackson_coeffs
+from fpharmonics.regularity import _fejer_power
 
 
 def qm_basis_signal(ctx, r: int, s: int, k: int) -> Signal:
@@ -100,33 +100,58 @@ def interval_pattern_others(N: int, distinct: bool = False) -> list:
     return others
 
 
+def fejer_power_sampled(n: int, k: int) -> np.ndarray:
+    """Fourier coefficients over j = -k(n-1)..k(n-1) of |D_n|^{2k} =
+    (sin(n pi theta)/sin(pi theta))^{2k}, from its samples at 2k(n-1) + 2
+    points; the central one is c_{n,k}.  The oracle for _fejer_power."""
+    deg = k * (n - 1)
+    L = 2 * deg + 2
+    theta = np.arange(L) / L
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(n * np.pi * theta) / np.sin(np.pi * theta)
+    ratio[0] = n
+    chat = np.fft.fft(ratio ** (2 * k)) / L
+    return np.real(chat[np.arange(-deg, deg + 1) % L])
+
+
 def box_factor_at(lo: float, d: int, R: int, eps: float) -> tuple:
-    """(coeffs over j = -deg..deg, tail) of the smoothed indicator of
-    [lo, lo + 1/R) as smooth boxes once built it for each coordinate on its
-    own: the gamma-enlarged interval at lo convolved with a Jackson kernel,
-    whose degree escalates once when the tail exceeds the per-factor
-    allowance.  The oracle for the one shared interval shifted to lo."""
+    """(coeffs over j = -deg..deg, tail bound) of the smoothed indicator of
+    [lo, lo + 1/R) built for one coordinate on its own: the gamma-enlarged
+    interval at lo convolved with a Fejer power K_{n,k}, over 1 - tau0.
+    For each k, n is the least with (2 gamma)^{1-2k} n / ((2k - 1)
+    (2n/pi)^{2k}) <= tau0, found by bisection; k walks up from 2 while the
+    degree k(n - 1) falls.  The oracle for the one shared interval shifted
+    to lo."""
     width, gamma = 1.0 / R, 1.0 / (4 * R)
-    a_ceiling = eps / (10 * R ** (3 * d))
-    tau0 = a_ceiling / (8 * 3 * d)
-    n0 = max(4, math.ceil((3 / (16 * tau0 * gamma**4)) ** (1 / 3)))
-    for n in (n0, 2 * n0):
-        kc = _jackson_coeffs(n)
-        deg = 2 * n - 2
-        js = np.arange(-deg, deg + 1)
-        a, b = lo - gamma, lo + width + gamma
-        ind_hat = np.empty(2 * deg + 1, dtype=np.complex128)
-        nz = js != 0
-        ind_hat[~nz] = b - a
-        ind_hat[nz] = (np.exp(-2j * np.pi * js[nz] * a)
-                       - np.exp(-2j * np.pi * js[nz] * b)) / (2j * np.pi * js[nz])
-        inside = 2 * gamma + np.sum(kc[nz] * np.sin(2 * np.pi * js[nz] * gamma)
-                                    / (np.pi * js[nz]))
-        tail = max(0.0, 1.0 - float(inside))
-        if tail <= tau0:
-            scale = 1.0 / ((1.0 - tail) * (1.0 - 1e-8))
-            return ind_hat * kc * scale, tail
-    raise AssertionError(f"tail {tail} over its bound {tau0} after escalation")
+    tau0 = eps / (10 * R ** (3 * d)) / (8 * 3 * d)
+
+    def fits(n, k):
+        return ((2 * k - 1) * math.log(2 * R) + math.log(n) - math.log(2 * k - 1)
+                - 2 * k * math.log(2 * n / math.pi)) <= math.log(tau0)
+
+    def least_n(k):
+        lo_n, hi_n = 1, 2
+        while not fits(hi_n, k):
+            lo_n, hi_n = hi_n, 2 * hi_n
+        while hi_n - lo_n > 1:
+            mid = (lo_n + hi_n) // 2
+            lo_n, hi_n = (lo_n, mid) if fits(mid, k) else (mid, hi_n)
+        return hi_n
+
+    k = 2
+    while (k + 1) * (least_n(k + 1) - 1) < k * (least_n(k) - 1):
+        k += 1
+    n = least_n(k)
+    kc, c = _fejer_power(n, k)
+    deg = k * (n - 1)
+    js = np.arange(-deg, deg + 1)
+    a, b = lo - gamma, lo + width + gamma
+    ind_hat = np.empty(2 * deg + 1, dtype=np.complex128)
+    nz = js != 0
+    ind_hat[~nz] = b - a
+    ind_hat[nz] = (np.exp(-2j * np.pi * js[nz] * a)
+                   - np.exp(-2j * np.pi * js[nz] * b)) / (2j * np.pi * js[nz])
+    return ind_hat * kc / (1 - tau0), (2 * R) ** (2 * k - 1) / ((2 * k - 1) * c)
 
 
 def trig_eval(coeffs, theta) -> np.ndarray:

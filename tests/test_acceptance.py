@@ -378,28 +378,32 @@ def test_energy_increment_within_budget():
 
 
 def test_smooth_box_four_properties():
-    box = smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
-    thetas = np.linspace(0, 1, 2000, endpoint=False)
-    for lo in box.los:
-        vals = box.interval.eval(thetas - lo)
+    # one shared G per scale, so each property of a box follows from G on
+    # one grid; at d = 2 the ceiling leaves G^6 - 1 only 2.98e-9 (R = 16)
+    # and 4.66e-11 (R = 32)
+    M = 1 << 14
+    thetas = np.arange(M) / M
+    for d, R in [(1, 2), (1, 8), (2, 4), (2, 16), (2, 32)]:
+        box = smooth_box_approx(d, R, (0,) * d, (R - 1,) * d, (R // 2,) * d, 0.5)
+        G = box.interval
+        # G at theta = m/M for every m at once: one inverse FFT of its
+        # coefficients folded mod M
+        spectrum = np.zeros(M, dtype=np.complex128)
+        np.add.at(spectrum, np.arange(-G.deg, G.deg + 1) % M, G.coeffs)
+        vals = np.real(np.fft.ifft(spectrum)) * M
+        assert np.max(np.abs(vals[::512] - G.eval(thetas[::512]))) < 1e-12
         # nonnegative and real
         assert np.all(vals >= -1e-9)
-        # bounded by the ceiling
-        assert np.max(vals) <= box.ceiling + 1e-9
         # at least 1 on the target interval
-        inside = np.mod(thetas - lo, 1.0) < 1 / box.R
-        assert np.all(vals[inside] >= 1 - 1e-9)
-    # small off the gamma-enlargement: audit the full product on a coarse
-    # grid of points whose every coordinate is far from its interval
-    width, g = 1 / box.R, 1 / (4 * box.R)
-    far = []
-    for lo in box.los:
-        pos = np.mod(thetas - lo, 1.0)
-        far.append(thetas[(pos > width + 2 * g) & (pos < 1 - 2 * g)])
-    n = min(len(f) for f in far)
-    coords = np.stack([f[:n] for f in far], axis=1)
-    off_vals = box.eval_coords(coords)
-    assert np.all(off_vals <= box.eps / (10 * box.R ** (3 * box.d)) + 1e-9)
+        assert np.all(vals[thetas < 1 / R] >= 1 - 1e-9)
+        # the product of the 3d factors is bounded by the ceiling
+        assert np.max(vals) ** (3 * d) <= box.ceiling, (d, R)
+        # small off the gamma-enlargement: one factor beyond 2 gamma of its
+        # interval times the other 3d - 1 at their largest
+        far = (thetas > 1 / R + 2 / (4 * R)) & (thetas < 1 - 2 / (4 * R))
+        if far.any():
+            off = np.max(vals[far]) * np.max(vals) ** (3 * d - 1)
+            assert off <= box.eps / (10 * box.R ** (3 * box.d)), (d, R)
 
 
 def test_sqrt2_gap_to_one_million():

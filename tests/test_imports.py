@@ -192,3 +192,37 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unreached.append(f"{path.stem}.{qualname}")
     # a ROADMAP-owned name that gains a caller leaves the list too
     assert sorted(unreached) == sorted(ROADMAP_OWNED)
+
+
+# -- no private helper that nothing in src/ reaches --------------------------------
+
+def orphaned_private_definitions(sources: dict) -> list:
+    """'module.name' for each module-level def or class whose name starts
+    with '_' and that no source references outside its own body."""
+    in_module = {name: referenced_names(tree) for name, tree in sources.items()}
+    orphans = []
+    for module, tree in sources.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                continue
+            if any(node.name in names for other, names in in_module.items() if other != module):
+                continue
+            if node.name not in referenced_names(tree, skip=node):
+                orphans.append(f"{module}.{node.name}")
+    return orphans
+
+
+def test_orphan_detector_ignores_a_definition_reaching_itself():
+    source = ("def _used():\n    pass\ndef _orphan():\n    return _orphan()\n"
+              "class _Old:\n    pass\ndef f():\n    return _used()\n")
+    assert orphaned_private_definitions({"a": ast.parse(source)}) == ["a._orphan", "a._Old"]
+    assert orphaned_private_definitions({"a": ast.parse(source),
+                                         "b": ast.parse("x = _orphan")}) == ["a._Old"]
+
+
+def test_every_private_definition_has_a_caller_in_src():
+    # test_every_public_name_has_a_caller_outside_the_tests skips '_' names,
+    # so a helper that a refactor leaves behind would go unnoticed there
+    sources = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert orphaned_private_definitions(sources) == []

@@ -20,7 +20,8 @@ from fpharmonics.regularity import (_correlating_projection, build_atoms,
                                     kvn_energy_increment, project,
                                     quad_decompose, refines,
                                     smooth_box_approx, smooth_majorant)
-from reference import box_factor_at, check_sqrt2_gap, qm_basis_signal, trig_eval
+from reference import (box_factor_at, check_sqrt2_gap, fejer_power_sampled, qm_basis_signal,
+                       trig_eval)
 
 
 def system(p, dims):
@@ -372,16 +373,43 @@ def test_smooth_box_d1_grid_audit():
     assert box.trig_norm() < np.inf
 
 
+@pytest.mark.parametrize("n, k", [(9, 1), (4, 2), (40, 2), (13, 5), (30, 8), (56, 7)])
+def test_fejer_power_matches_the_sampled_kernel(n, k):
+    coeffs, c = regularity._fejer_power(n, k)
+    sampled = fejer_power_sampled(n, k)
+    deg = k * (n - 1)
+    assert len(coeffs) == len(sampled) == 2 * deg + 1
+    assert coeffs[deg] == 1.0 and np.all(coeffs > 0)
+    assert c == pytest.approx(sampled[deg], rel=1e-12)
+    assert np.max(np.abs(coeffs - sampled / sampled[deg])) <= 1e-12
+    if k <= 2:  # c_{n,1} = n and Jackson's c_{n,2} = n(2n^2 + 1)/3
+        assert c == pytest.approx([n, n * (2 * n * n + 1) / 3][k - 1], rel=1e-14)
+
+
+_FEJER = regularity._fejer_power
+
+
+def _flat_kernel(n, k):
+    # K = 1: the right c, but only 2 gamma of the mass inside gamma
+    coeffs, c = _FEJER(n, k)
+    return np.where(np.arange(len(coeffs)) == len(coeffs) // 2, 1.0, 0.0), c
+
+
 def test_smooth_box_tail_over_its_bound_is_a_failed_claim(monkeypatch):
-    # an interval whose tail stays over the bound after escalation once
-    # raised RuntimeError, which the CLI does not report as a failed claim
-    monkeypatch.setattr(regularity, "_smooth_interval",
-                        lambda R, n: regularity.SmoothInterval(np.ones(1), 1.0))
-    with pytest.raises(AssertionError, match="^tail over its bound after escalation: "):
+    monkeypatch.setattr(regularity, "_fejer_power", _flat_kernel)
+    with pytest.raises(AssertionError, match="^numerical tail over tau0: "):
         smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
 
 
-@pytest.mark.parametrize("d, R", [(1, 2), (1, 8), (2, 4)])
+def test_smooth_box_analytic_tail_over_its_bound_is_a_failed_claim(monkeypatch):
+    # the right kernel with c_{n,k} a thousandth of its value
+    monkeypatch.setattr(regularity, "_fejer_power",
+                        lambda n, k: (_FEJER(n, k)[0], _FEJER(n, k)[1] / 1e3))
+    with pytest.raises(AssertionError, match="^analytic tail over tau0: "):
+        smooth_box_approx(1, 2, (1,), (0,), (1,), 0.5)
+
+
+@pytest.mark.parametrize("d, R", [(1, 2), (1, 8), (2, 4), (2, 32)])
 def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
     box = smooth_box_approx(d, R, (0,) * d, (R - 1,) * d, (R // 2,) * d, 0.5)
     G = box.interval
@@ -400,9 +428,10 @@ def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
 
 
 def test_smooth_box_evaluates_in_bounded_memory():
-    # d = 2, R = 4: G has 2 * 7284 + 1 coefficients, and one phase matrix
-    # over the 101 orbit points held 45 MB
-    box = smooth_box_approx(2, 4, (0, 1), (2, 3), (1, 0), 0.5)
+    # d = 2, R = 32: G has 2 * 3525 + 1 coefficients, so one phase matrix
+    # over the 101 orbit points would hold 11.4 MB
+    box = smooth_box_approx(2, 32, (0, 1), (2, 31), (16, 0), 0.5)
+    assert box.interval.deg <= 4000  # the Jackson build's formula gave 7,459,344
     psi = system(101, [(3, 5), (7, 11)])
     tracemalloc.start()
     try:
@@ -413,15 +442,16 @@ def test_smooth_box_evaluates_in_bounded_memory():
     assert peak < 8 * 2**20, peak
 
 
-@pytest.mark.parametrize("p, dims, R", [(13, [(1, 1)], 2), (101, [(3, 5), (7, 11)], 4)])
+@pytest.mark.parametrize("p, dims, R", [(13, [(1, 1)], 2), (101, [(3, 5), (7, 11)], 4),
+                                        (1009, [(953, 630), (690, 904)], 32)])
 def test_smooth_majorant_builds_one_kernel_whatever_the_atom_count(monkeypatch, p, dims, R):
     calls = []
-    jackson = regularity._jackson_coeffs
-    monkeypatch.setattr(regularity, "_jackson_coeffs", lambda n: calls.append(n) or jackson(n))
+    monkeypatch.setattr(regularity, "_fejer_power",
+                        lambda n, k: calls.append((n, k)) or _FEJER(n, k))
     atoms = build_atoms(system(p, dims), R)
     pieces = smooth_majorant(atoms, Signal(cached_field(p), np.ones(p)), 0.5)
     assert len(pieces) == atoms.n_atoms
-    assert 1 <= len(calls) <= 2  # once, plus one escalation
+    assert len(calls) == 1
     assert all(box.interval is pieces[0][1].interval for _, box in pieces)
 
 
@@ -447,6 +477,8 @@ def _majorant_p13(values, eps=0.5):
     (_majorant_p13, (np.r_[-1.0, np.ones(12)],), "f"),
     (_majorant_p13, (np.ones(13) + 1e-3j,), "f"),
     (_majorant_p13, (np.ones(13), 0), "eps"),
+    # tau0 = 2.0e-17 is below what float64 resolves in G
+    (smooth_box_approx, (3, 32, (0,) * 3, (0,) * 3, (0,) * 3, 0.5), "eps"),
 ])
 def test_smooth_boxes_reject_bad_inputs(build, args, name):
     with pytest.raises(ValueError, match=f"^{name} "):
