@@ -12,7 +12,8 @@ Three pieces of the structural toolkit:
     within an audited iteration budget.
   * smooth_box_approx builds a nonnegative trigonometric majorant of an
     atom indicator, the bridge from measurable colorings to the counting
-    lemma's trig-polynomial inputs; here at KvN's scale d = 2, R = 32.
+    lemma's trig-polynomial inputs; here at KvN's scale d = 2, R = 32,
+    composed with a QM orbit at p = 1009.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ print(f"  atoms in the final partition: {atoms.n_atoms}")
 print(f"  ||f2 - proj f2||_2 = "
       f"{Signal(ctx61, f2.values - g.values).lp_norm(2):.4f}")
 
-box = smooth_box_approx(2, 32, (1, 5), (0, 31), (16, 3), 0.5)
-print(f"\nsmoothed box for one interval triple at d = 2, R = 32:")
+psi = QMSystem(cached_field(1009), [(953, 630), (690, 904)])
+t, u, v = build_atoms(psi, 32).keys[1]
+box = smooth_box_approx(2, 32, t, u, v, 0.5)
+print(f"\nsmoothed box for the atom of x = 1 under Psi = {psi.dims} at p = 1009, "
+      f"d = 2, R = 32:")
 print(f"  Fejer-power degree = {box.interval.deg}, ceiling = 1 + {box.ceiling - 1:.3e}, "
       f"trig norm = {box.trig_norm():.1f}")
+F = box.compose_signal(psi).values.real
+print(f"  composed with Psi: F(Psi(1)) = {F[1]:.6f}, max over F_p = {F.max():.6f}")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import AUDIT_CONSTANTS
-from .counting import ROW_BLOCK, TOL, MarginReport
+from .counting import TOL, MarginReport
 from .field import FieldCtx, quad_phase_values
 from .harmonic import (NormResult, Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
@@ -265,7 +265,9 @@ def kvn_energy_increment(fs: Sequence[Signal], psi0: QMSystem, delta: float,
         phi = _correlating_projection(residuals[worst], qms[worst], delta, R)[0]
         psi = psi.extended(phi.dims)
         new_atoms = build_atoms(psi, R)
-        if np.array_equal(new_atoms.labels, atoms.labels):
+        # psi keeps every old coordinate, so equal atom counts mean equal partitions
+        MarginReport.check("new atoms refine the old", int(not refines(new_atoms, atoms)), 0)
+        if new_atoms.n_atoms == atoms.n_atoms:
             raise ValueError(f"R = {R} leaves the partition unchanged at iteration "
                              f"{it + 1}, so no residual QM norm can fall to "
                              f"delta = {delta}; use a larger R")
@@ -301,8 +303,8 @@ def _fejer_power(n: int, k: int) -> tuple:
 class SmoothInterval:
     """The smoothed indicator of [0, 1/R) that every box coordinate at
     scale R shifts: G = (1_J * K_{n,k})/(1 - tau0), J = [-gamma, 1/R + gamma],
-    with K_{n,k} a Fejer power and tau0 the per-factor allowance.  The
-    coordinate whose interval starts at lo takes G(theta - lo)."""
+    with K_{n,k} a Fejer power and tau0 the per-factor allowance.  A coordinate
+    num/m whose interval starts at lo takes G(num/m - lo), from on_grid(m, lo)."""
 
     coeffs: np.ndarray  # over j = -deg..deg
     tail: float         # analytic bound on 1 - int_{|u|<=gamma} K_{n,k}
@@ -311,16 +313,12 @@ class SmoothInterval:
     def deg(self) -> int:
         return len(self.coeffs) // 2
 
-    def eval(self, theta: np.ndarray) -> np.ndarray:
-        """G at each theta, from phase blocks of about ROW_BLOCK entries."""
-        theta = np.atleast_1d(theta)
+    def on_grid(self, m: int, lo: float) -> np.ndarray:
+        """G(n/m - lo) for n = 0..m-1: c_j e(-j lo) folded mod m, one inverse FFT."""
         js = np.arange(-self.deg, self.deg + 1)
-        step = max(1, ROW_BLOCK // len(js))
-        out = np.empty(len(theta))
-        for lo in range(0, len(theta), step):
-            out[lo:lo + step] = np.real(
-                np.exp(2j * np.pi * np.outer(theta[lo:lo + step], js)) @ self.coeffs)
-        return out
+        folded = np.zeros(m, dtype=np.complex128)
+        np.add.at(folded, js % m, self.coeffs * np.exp(-2j * np.pi * lo * js))
+        return np.real(np.fft.ifft(folded)) * m
 
 
 def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
@@ -340,7 +338,12 @@ def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if d == 0:
         return None
-    tau0 = eps / (10 * R ** (3 * d)) / (8 * 3 * d)
+    try:  # R^{3d} may pass float64's range, or tau0 underflow to 0
+        tau0 = eps / (10 * R ** (3 * d)) / (8 * 3 * d)
+    except OverflowError:
+        tau0 = 0.0
+    if tau0 == 0.0:
+        raise ValueError(f"eps = {eps} at d = {d}, R = {R} leaves tau0 under float64's range")
     gamma = 1.0 / (4 * R)
     width = 1.0 / R + 2 * gamma  # of J
     def least_n(k):
@@ -370,8 +373,8 @@ class SmoothBox:
     """Product over the 3d circle coordinates of shifts of one smoothed
     interval G = (1_J * K_{n,k})/(1 - tau0); F >= 1 on the generalised
     interval I_{R;t,u,v}, F small off the gamma-enlargement, and 0 <= F <=
-    1 + eps/(10 R^{3d}).  Kept in factored form: the tensor-product
-    coefficients are never materialized."""
+    1 + eps/(10 R^{3d}).  Kept in factored form and composed on Psi's integer
+    grids: no tensor-product coefficient or float orbit coordinate is ever formed."""
 
     d: int
     R: int
@@ -386,19 +389,15 @@ class SmoothBox:
         sqrt2_frac = math.sqrt(2.0) - 1.0
         return tuple((idx / self.R + sqrt2_frac) % 1.0 for idx in sum(self.key, ()))
 
-    def eval_coords(self, coords: np.ndarray) -> np.ndarray:
-        """coords: array (N, 3d) of circle coordinates in [0, 1)."""
-        coords = np.atleast_2d(coords)
-        out = np.ones(coords.shape[0])
-        for j, lo in enumerate(self.los):
-            out = out * self.interval.eval(coords[:, j] - lo)
-        return out
-
     def compose_signal(self, psi: QMSystem) -> Signal:
-        th1, th2, v = orbit_arrays(psi)
+        """F o Psi: each coordinate's G on the grid of its denominator, p or p - 1."""
         p = psi.ctx.p
-        coords = np.concatenate([th1 / p, th2 / p, v / (p - 1)], axis=1)
-        return Signal(psi.ctx, self.eval_coords(coords).astype(np.complex128))
+        nums = np.concatenate(orbit_arrays(psi), axis=1)
+        dens = [p] * (2 * self.d) + [p - 1] * self.d
+        out = np.ones(p)
+        for j, (den, lo) in enumerate(zip(dens, self.los)):
+            out *= self.interval.on_grid(den, lo)[nums[:, j]]
+        return Signal(psi.ctx, out.astype(np.complex128))
 
     @property
     def ceiling(self) -> float:

@@ -36,7 +36,7 @@ from fpharmonics.regularity import (build_atoms, decomposable_unit_signal,
                                     quad_decompose, refines, smooth_box_approx)
 from fpharmonics.search import (check_interval_coloring, fp_coloring_scan,
                                 interval_backtrack, interval_sweep)
-from reference import check_sqrt2_gap
+from reference import check_sqrt2_gap, trig_eval
 
 SEED = CALIBRATION_SEED
 
@@ -386,12 +386,8 @@ def test_smooth_box_four_properties():
     for d, R in [(1, 2), (1, 8), (2, 4), (2, 16), (2, 32)]:
         box = smooth_box_approx(d, R, (0,) * d, (R - 1,) * d, (R // 2,) * d, 0.5)
         G = box.interval
-        # G at theta = m/M for every m at once: one inverse FFT of its
-        # coefficients folded mod M
-        spectrum = np.zeros(M, dtype=np.complex128)
-        np.add.at(spectrum, np.arange(-G.deg, G.deg + 1) % M, G.coeffs)
-        vals = np.real(np.fft.ifft(spectrum)) * M
-        assert np.max(np.abs(vals[::512] - G.eval(thetas[::512]))) < 1e-12
+        vals = G.on_grid(M, 0.0)
+        assert np.max(np.abs(vals[::512] - trig_eval(G.coeffs, thetas[::512]))) < 1e-12
         # nonnegative and real
         assert np.all(vals >= -1e-9)
         # at least 1 on the target interval

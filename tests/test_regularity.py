@@ -203,6 +203,28 @@ def test_kvn_rejects_a_scale_that_cannot_refine():
         kvn_energy_increment(fs, QMSystem(ctx, []), 0.3, 1)
 
 
+def test_kvn_fails_a_partition_that_does_not_refine_the_last(monkeypatch):
+    # every build after psi0's returns one atom, which cannot refine psi0's
+    # several atoms at R = 2
+    real_build, calls = regularity.build_atoms, []
+
+    def one_atom_after_the_first(psi, R):
+        calls.append(psi)
+        atoms = real_build(psi, R)
+        if len(calls) == 1:
+            return atoms
+        return regularity.PartitionAtoms(psi, R, np.zeros(psi.ctx.p, dtype=np.int64),
+                                         atoms.codes[:1])
+
+    monkeypatch.setattr(regularity, "build_atoms", one_atom_after_the_first)
+    ctx = cached_field(61)
+    f = Signal(ctx, ctx.roots_p[np.arange(61) ** 2 % 61])
+    psi0 = system(61, [(1, 1)])
+    assert real_build(psi0, 2).n_atoms > 1
+    with pytest.raises(AssertionError, match="^new atoms refine the old: "):
+        kvn_energy_increment([f], psi0, 0.3, 2)
+
+
 def test_atoms_d0_single():
     atoms = build_atoms(system(13, []), 2)
     assert atoms.n_atoms == 1
@@ -362,10 +384,10 @@ def test_smooth_box_d1_grid_audit():
     G = box.interval
     # G is real: its coefficients over j = -deg..deg are conjugate-symmetric
     assert np.max(np.abs(G.coeffs[::-1] - np.conj(G.coeffs))) < 1e-12
-    thetas = np.linspace(0, 1, 1000, endpoint=False)
+    thetas = np.arange(1000) / 1000
     # audit each coordinate's shift of the shared interval over its own circle
     for lo in box.los:
-        vals = G.eval(thetas - lo)
+        vals = G.on_grid(1000, lo)
         assert np.all(vals >= -1e-9)
         assert np.max(vals) <= box.ceiling + 1e-9
         inside = np.mod(thetas - lo, 1.0) < 1 / box.R
@@ -416,11 +438,11 @@ def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
     sqrt2_frac = math.sqrt(2.0) - 1.0
     los = [(idx / R + sqrt2_frac) % 1.0 for idx in range(R)] + [0.0, 0.3, 0.999]
     assert set(box.los) <= set(los)
-    thetas = np.linspace(0, 1, 64, endpoint=False)
+    thetas = np.arange(64) / 64
     for lo in los:
         coeffs, tail = box_factor_at(lo, d, R, 0.5)
         assert tail == G.tail and len(coeffs) == len(G.coeffs)
-        assert np.max(np.abs(G.eval(thetas - lo) - trig_eval(coeffs, thetas))) < 1e-12
+        assert np.max(np.abs(G.on_grid(64, lo) - trig_eval(coeffs, thetas))) < 1e-12
     # the per-coordinate trig norm: the largest block degree, or the product
     # of the 3d coefficient masses
     old_mass = float(np.sum(np.abs(box_factor_at(box.los[0], d, R, 0.5)[0])))
@@ -429,17 +451,44 @@ def test_shared_interval_shifted_matches_the_per_coordinate_construction(d, R):
 
 def test_smooth_box_evaluates_in_bounded_memory():
     # d = 2, R = 32: G has 2 * 3525 + 1 coefficients, so one phase matrix
-    # over the 101 orbit points would hold 11.4 MB
+    # over the 1009 orbit points would hold 114 MB
     box = smooth_box_approx(2, 32, (0, 1), (2, 31), (16, 0), 0.5)
     assert box.interval.deg <= 4000  # the Jackson build's formula gave 7,459,344
-    psi = system(101, [(3, 5), (7, 11)])
+    psi = system(1009, [(953, 630), (690, 904)])
     tracemalloc.start()
     try:
         box.compose_signal(psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    assert peak < 2**20, peak
+
+
+def box_at_orbit_loop(box, psi, xs):
+    """The box at Psi(x) for each x in xs: the direct sum of every term of
+    G at each of the 3d float coordinates, multiplied."""
+    p = psi.ctx.p
+    th1, th2, v = orbit_arrays(psi)
+    coords = np.concatenate([th1 / p, th2 / p, v / (p - 1)], axis=1)[xs]
+    out = np.ones(len(xs))
+    for j, lo in enumerate(box.los):
+        out *= trig_eval(box.interval.coeffs, coords[:, j] - lo)
+    return out
+
+
+@pytest.mark.parametrize("p, dims", [(101, [(3, 5), (7, 11)]),
+                                     (1009, [(953, 630), (690, 904)])])
+def test_compose_signal_matches_the_direct_sum(p, dims):
+    # boxes of the majorant of 1 at d = 2, R = 32, each holding orbit points,
+    # checked at their own points and at every 8th x
+    psi = system(p, dims)
+    atoms = build_atoms(psi, 32)
+    pieces = smooth_majorant(atoms, Signal(cached_field(p), np.ones(p)), 0.5)
+    for _, box in pieces[::len(pieces) // 3]:
+        xs = np.union1d(atoms.groups[box.key], np.arange(0, p, 8))
+        got = box.compose_signal(psi).values[xs]
+        assert np.max(np.abs(got - box_at_orbit_loop(box, psi, xs))) < 1e-12
+        assert np.min(got[np.isin(xs, atoms.groups[box.key])]) >= 1
 
 
 @pytest.mark.parametrize("p, dims, R", [(13, [(1, 1)], 2), (101, [(3, 5), (7, 11)], 4),
@@ -479,25 +528,41 @@ def _majorant_p13(values, eps=0.5):
     (_majorant_p13, (np.ones(13), 0), "eps"),
     # tau0 = 2.0e-17 is below what float64 resolves in G
     (smooth_box_approx, (3, 32, (0,) * 3, (0,) * 3, (0,) * 3, 0.5), "eps"),
+    # R^{3d} past float64's range once raised OverflowError, and a tau0
+    # that underflows to 0 ZeroDivisionError
+    (smooth_box_approx, (40, 1024, (0,) * 40, (0,) * 40, (0,) * 40, 0.5), "eps"),
+    (smooth_box_approx, (1, 2, (1,), (0,), (1,), 5e-324), "eps"),
+    # tau0 = 2.4e-16: d = 2 is admitted only up to R = 64
+    (smooth_box_approx, (2, 128, (0,) * 2, (0,) * 2, (0,) * 2, 0.5), "eps"),
 ])
 def test_smooth_boxes_reject_bad_inputs(build, args, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         build(*args)
 
 
+@pytest.mark.parametrize("d, R, deg", [(2, 64, 8144), (3, 16, 2057)])
+def test_smooth_boxes_admit_the_stated_domain(d, R, deg):
+    # at eps = 1/2, d = 2 is admitted up to R = 64 and d = 3 up to R = 16;
+    # (2, 128) and (3, 32) are among the rejected inputs above
+    box = smooth_box_approx(d, R, (0,) * d, (0,) * d, (0,) * d, 0.5)
+    assert box.interval.deg == deg
+
+
 def test_smooth_majorant_dominates_indicator():
-    ctx = cached_field(13)
-    psi = system(13, [(1, 1)])
-    atoms = build_atoms(psi, 2)
-    vals = np.zeros(13, dtype=complex)
-    key = atoms.keys[0]
-    vals[atoms.groups[key]] = 1.0
-    f = Signal(ctx, vals)
-    pieces = smooth_majorant(atoms, f, 0.5)
-    total = np.zeros(13)
-    for lam, box in pieces:
-        total += lam * box.compose_signal(psi).values.real
-    assert np.all(total >= vals.real - 1e-9)
+    # one atom's indicator at p = 13, and at p = 101, d = 2, R = 32 a weight
+    # on each of the 101 atoms, so that every box is composed
+    for p, dims, R, weight, n_boxes in [
+            (13, [(1, 1)], 2, lambda labels: labels == 0, 1),
+            (101, [(3, 5), (7, 11)], 32, lambda labels: 1.0 / (1.0 + labels), 101)]:
+        psi = system(p, dims)
+        atoms = build_atoms(psi, R)
+        vals = weight(atoms.labels).astype(complex)
+        pieces = smooth_majorant(atoms, Signal(cached_field(p), vals), 0.5)
+        assert len(pieces) == n_boxes
+        total = np.zeros(p)
+        for lam, box in pieces:
+            total += lam * box.compose_signal(psi).values.real
+        assert np.all(total >= vals.real - 1e-9)
 
 
 def test_sqrt2_gap_small_cases():
