@@ -21,9 +21,9 @@ from .harmonic import (NormResult, Signal, add_invert, add_transform,
                        norm_qm, norm_u2_plus, norm_u2_times, norm_u3_plus,
                        ones, random_signal, signal_load)
 from .qm import (HGroup, QMSystem, TrigPoly, baby_count, bohr_set,
-                 box_fraction, check_bohr_density, check_pigeon_projection,
-                 compose_signal, counting_integral_I, counting_lemma_check,
-                 enumerate_H, trig_norm)
+                 box_fraction, check_bohr_density, compose_signal,
+                 counting_integral_I, counting_lemma_check, enumerate_H,
+                 trig_norm)
 from .ramsey import (FiniteGroup, PairColoring, dependent_random_choice,
                      eps_r, extremal_coloring, find_rich_color, lambda_T)
 from .regularity import (KvnResult, PartitionAtoms, QuadDecomposition,

@@ -152,7 +152,11 @@ class Coloring:
     assign: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.assign, dtype=np.int64)
+        arr = np.asarray(self.assign)
+        if not np.issubdtype(arr.dtype, np.integer):
+            # casting would truncate floats to colors
+            raise ValueError(f"colors must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
         object.__setattr__(self, "assign", arr)
         if arr.shape != (self.n,):
             raise ValueError(f"expected {self.n} entries, got {arr.shape}")

@@ -24,7 +24,7 @@ verified at runtime by the closure / annihilation property tests.
 
 A term (xi1, xi2, xi3) is on the lattices when its residues xi1 . a, xi2 . a
 mod p and xi3 . k mod p-1 are 0 (residues of sums add); the box fraction of
-H_Psi is a product of pigeonhole measures from check_pigeon_projection.
+H_Psi is m+^2 mx, read off the enumerated rows of G+ and Gx.
 
 A trig polynomial is evaluated from the context's root-of-unity tables:
 each term (xi1, xi2, xi3) gathers one phase table per coordinate block,
@@ -288,18 +288,19 @@ def bohr_set(psi: QMSystem, eps) -> list:
 
 def box_fraction(psi: QMSystem, eps) -> tuple:
     """(exact fraction of H_Psi inside the box X(eps), its floor eps^{3d}).
-    H_Psi is the image of Z_p^2 x Z_{p-1} under s -> s a/p, s k/(p-1), each
-    point hit equally often, so the fraction is m+^2 mx for the pigeonhole
-    measures of Z_p -> a/p and Z_{p-1} -> k/(p-1), each asserted >= eps^d."""
+    H_Psi = G+ x G+ x Gx, so the fraction is m+^2 mx for the shares m+ and
+    mx of the enumerated rows of G+ and Gx inside the box; by pigeonhole
+    each is >= eps^d, asserted.  enumerate_H rejects d < 1."""
     eps = as_fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("need 0 < eps <= 1")
-    if psi.d < 1:
-        raise ValueError("box_fraction needs d >= 1")
+    H = enumerate_H(psi)
     p = psi.ctx.p
-    mp, _ = check_pigeon_projection([p], [[Fraction(a, p) for a in psi.a_vec]], eps)
-    mt, _ = check_pigeon_projection([p - 1], [[Fraction(k, p - 1) for k in psi.k_vec]], eps)
-    return mp ** 2 * mt, eps ** (3 * psi.d)
+    m_plus, m_times = (Fraction(int(np.count_nonzero(_rows_within(rows, den, eps))), len(rows))
+                       for rows, den in ((H.gplus, p), (H.gtimes, p - 1)))
+    for m in (m_plus, m_times):
+        MarginReport.check("pigeonhole projection floor", eps ** psi.d, m)
+    return m_plus ** 2 * m_times, eps ** (3 * psi.d)
 
 
 def check_bohr_density(psi: QMSystem, eps) -> tuple:
@@ -310,44 +311,6 @@ def check_bohr_density(psi: QMSystem, eps) -> tuple:
     bound = Fraction(1, 8) * (eps / 4) ** (3 * psi.d)
     MarginReport.check("Bohr density floor", bound, mu, p=psi.ctx.p)
     return mu, bound
-
-
-def check_pigeon_projection(factors: Sequence[int], pi, delta) -> tuple:
-    """For G = prod Z_{n_j} and a homomorphism pi into (R/Z)^d given by the
-    images of the generators (d-vectors of rationals), return the exact
-    measure of { x : |pi(x)| <= delta } and the floor delta^d, asserted.
-    pi(x) is an integer row over the common denominator L of the images (L
-    divides lcm(n_j)); x runs over G in blocks of about ROW_BLOCK values as
-    the mixed-radix digits of an index range, |G| <= H_ENUM_BUDGET."""
-    delta = as_fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    images = [[as_fraction(c) for c in gen] for gen in pi]
-    d = len(images[0]) if images else 0
-    if len(images) != len(factors) or any(len(gen) != d for gen in images):
-        raise ValueError(f"pi: need {len(factors)} generator images of one length d")
-    if any(not isinstance(n, (int, np.integer)) or n < 1 for n in factors):
-        raise ValueError(f"factors must be integers >= 1, got {list(factors)}")
-    order = math.prod(factors)
-    if order > H_ENUM_BUDGET:
-        raise ValueError(f"budget exceeded: factors give |G| = {order} > {H_ENUM_BUDGET}")
-    if any(n % c.denominator for n, gen in zip(factors, images) for c in gen):
-        raise ValueError("pi: n_j times the image of generator j must be integral")
-    L = math.lcm(*(c.denominator for gen in images for c in gen))
-    nums = [np.array([c.numerator * (L // c.denominator) % L for c in gen], dtype=np.int64)
-            for gen in images]
-    step = max(1, ROW_BLOCK // max(d, 1))
-    count = 0
-    for lo in range(0, order, step):
-        rest = np.arange(lo, min(lo + step, order), dtype=np.int64)
-        rows = np.zeros((len(rest), d), dtype=np.int64)
-        for n, num in zip(factors, nums):
-            rows += (rest % n)[:, None] * num
-            rest //= n
-        count += int(np.count_nonzero(_rows_within(rows % L, L, delta)))
-    measure, bound = Fraction(count, order), delta ** d
-    MarginReport.check("pigeonhole projection floor", bound, measure)
-    return measure, bound
 
 
 # -- baby counting and the counting lemma ------------------------------------

@@ -380,7 +380,7 @@ def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
                             eta) -> DRCResult:
     """Defect-maximizing common neighbourhood, with exact verification.
 
-    nu_x and nu_y map points to Fraction weights summing to 1; A is a set
+    nu_x and nu_y map points to Fraction weights >= 0 summing to 1; A is a set
     of (x, y) pairs.  Returns X' = N_X(y*) for the first y* maximizing
 
       sum_{x1, x2 in N_X(y)} (1 - 1_E(x1,x2)/eta) nu_x(x1) nu_x(x2),
@@ -397,8 +397,9 @@ def dependent_random_choice(nu_x: Mapping, nu_y: Mapping, A: Iterable[Pair],
         raise ValueError("eta must lie in (0, 1]")
     nu_x = {x: Fraction(w) for x, w in nu_x.items() if w != 0}
     nu_y = {y: Fraction(w) for y, w in nu_y.items() if w != 0}
-    if sum(nu_x.values()) != 1 or sum(nu_y.values()) != 1:
-        raise ValueError("weights must sum to 1 exactly")
+    for name, nu in (("nu_x", nu_x), ("nu_y", nu_y)):
+        if min(nu.values(), default=0) < 0 or sum(nu.values()) != 1:
+            raise ValueError(f"{name}: weights must be >= 0 and sum to 1 exactly")
     xs, ys = list(nu_x), list(nu_y)
     Lx, wx, x_groups = _scaled(nu_x)
     Ly, _, y_groups = _scaled(nu_y)

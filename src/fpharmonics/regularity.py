@@ -28,6 +28,12 @@ from .qm import QMSystem, TrigPoly, orbit_arrays, compose_signal
 MAX_R = 1 << 10
 
 
+def _check_scale(R: int):
+    """The scales of atoms and smooth boxes: powers of two up to MAX_R."""
+    if R < 1 or (R & (R - 1)) != 0 or R > MAX_R:
+        raise ValueError(f"R must be a power of two <= {MAX_R}, got {R}")
+
+
 def _interval_codes(nums: np.ndarray, den: int, R: int) -> np.ndarray:
     """floor(R*(num/den - sqrt2)) mod R for each 0 <= num < den, exactly
     (see the module docstring)."""
@@ -74,8 +80,7 @@ def build_atoms(psi: QMSystem, R: int) -> PartitionAtoms:
     """Assign every x in F_p to its generalised-interval atom: the 3d
     interval codes of Psi(x) form one integer row per x, and equal rows
     are one atom."""
-    if R < 1 or (R & (R - 1)) != 0 or R > MAX_R:
-        raise ValueError(f"R must be a power of two <= {MAX_R}, got {R}")
+    _check_scale(R)
     p = psi.ctx.p
     th1, th2, v = orbit_arrays(psi)
     codes = np.concatenate([_interval_codes(th1, p, R), _interval_codes(th2, p, R),
@@ -332,8 +337,7 @@ def _shared_interval(d: int, R: int, eps: float) -> Optional[SmoothInterval]:
     tau0 <= 1/240) while the degree k(n - 1) falls.  G >= 1 on I holds with
     margin tau0 - bound, so tau0 must exceed float64's resolution of G,
     whose l1 mass is at most |J| + (2/pi)(1 + ln deg)."""
-    if R < 1 or (R & (R - 1)) != 0:
-        raise ValueError(f"R must be a power of two, got {R}")
+    _check_scale(R)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if d == 0:
@@ -413,7 +417,7 @@ class SmoothBox:
 def smooth_box_approx(d: int, R: int, t: Sequence[int], u: Sequence[int],
                       v: Sequence[int], eps: float) -> SmoothBox:
     """Smoothed indicator of the generalised interval I_{R;t,u,v}, for R a
-    power of two, eps in (0, 1] and t, u, v each d integers in [0, R).
+    power of two <= MAX_R, eps in (0, 1] and t, u, v each d integers in [0, R).
 
     Explicit construction: each circle coordinate gets the shared
     G = (1_J * K_{n,k})/(1 - tau0) shifted to its interval, with J = [0, 1/R)

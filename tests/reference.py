@@ -163,8 +163,9 @@ def trig_eval(coeffs, theta) -> np.ndarray:
 
 def pigeon_measure_loop(factors, images, delta) -> Fraction:
     """The measure of { x in prod Z_{n_j} : |pi(x)| <= delta } by one
-    Fraction sum per coordinate of every element: the loop that
-    check_pigeon_projection once ran, kept as its oracle."""
+    Fraction sum per coordinate of every element.  The oracle for
+    box_fraction's factors: [p] with images a/p gives m+, [p - 1] with
+    k/(p-1) gives mx, and neither reads enumerate_H."""
     d = len(images[0]) if images else 0
     count = 0
     for x in itertools.product(*(range(n) for n in factors)):

@@ -25,9 +25,8 @@ from fpharmonics.harmonic import (Signal, add_invert, add_transform, convolve,
                                   norm_u2_times, norm_u3_plus, random_signal)
 from fpharmonics.qm import (QMSystem, TrigPoly, baby_count, bohr_set,
                             box_fraction, check_bohr_density,
-                            check_pigeon_projection, counting_integral_I,
-                            counting_integral_direct, counting_lemma_check,
-                            trig_norm)
+                            counting_integral_I, counting_integral_direct,
+                            counting_lemma_check, trig_norm)
 from fpharmonics.ramsey import (FiniteGroup, PairColoring, boolean_cube,
                                 dependent_random_choice, eps_r,
                                 extremal_coloring, find_rich_color)
@@ -227,14 +226,11 @@ def test_bohr_box_pigeonhole_floors():
             assert mu >= floor == Fraction(1, 8) * (eps / 4) ** (3 * d)
             frac, box_floor = box_fraction(psi, eps)
             assert frac >= box_floor == eps ** (3 * d)
-    for n in (8, 10, 12):
-        measure, bound = check_pigeon_projection(
-            [n], [(Fraction(1, n),)], Fraction(1, 4))
-        assert measure >= bound == Fraction(1, 4)
-    measure, bound = check_pigeon_projection(
-        [4, 6], [(Fraction(1, 4), Fraction(0)), (Fraction(0), Fraction(1, 6))],
-        Fraction(1, 3))
-    assert measure >= bound == Fraction(1, 9)
+    # Gx = Z_10 and Z_12: 2 (n // 4) + 1 of the n values s/n lie within 1/4
+    for p, n_in in ((11, 5), (13, 7)):
+        frac, box_floor = box_fraction(QMSystem(cached_field(p), [(1, 1)]), Fraction(1, 4))
+        assert frac == Fraction(n_in, p) ** 2 * Fraction(n_in, p - 1)
+        assert frac >= box_floor == Fraction(1, 64)
 
 
 # -- 8: character sum magnitudes ------------------------------------------------

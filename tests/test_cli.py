@@ -259,6 +259,7 @@ def test_assertion_failure_exits_one(capsys):
     ["kvn", "--r", "0"],
     ["kvn", "--p", "31", "--R", "1"],
     ["bohr", "--d", "-1"],
+    ["bohr", "--d", "0"],
     ["bohr", "--eps", "inf"],
     ["bohr", "--eps", "2"],
     ["decompose", "--eps", "0"],

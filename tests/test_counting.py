@@ -113,6 +113,16 @@ def test_coloring_rejects_colors_below_unassigned(bad):
         Coloring(7, 2, assign)
 
 
+@pytest.mark.parametrize("assign", (
+    [0.5, 1.7, 0],  # once truncated to [0, 1, 0]
+    np.array([True, False, True]),
+    np.array([0, 1, 0], dtype=object),
+), ids=("float", "bool", "object"))
+def test_coloring_rejects_non_integer_colors(assign):
+    with pytest.raises(ValueError, match="integers"):
+        Coloring(3, 2, assign)
+
+
 def test_triples_full_field():
     ctx = cached_field(11)
     assert census_triples(ctx, range(11), "shkredov") == 11**2

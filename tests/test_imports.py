@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib.util
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import fpharmonics
+from fpharmonics import cli
 
 PACKAGE_DIR = Path(fpharmonics.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -226,3 +229,57 @@ def test_every_private_definition_has_a_caller_in_src():
     # so a helper that a refactor leaves behind would go unnoticed there
     sources = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert orphaned_private_definitions(sources) == []
+
+
+# -- README names only what exists -------------------------------------------------
+
+README = (REPO_DIR / "README.md").read_text()
+
+
+def src_names(tree) -> set:
+    """Definitions, Name ids, attributes, arguments and the identifiers
+    inside string constants other than docstrings (so a subcommand, which
+    cli.py names in a string, counts; a name only a docstring mentions
+    does not)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)
+                  and isinstance(node.body[0].value.value, str)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_readme_names_resolve():
+    # a backticked span that is a dotted name, maybe with an argument list,
+    # must name something that exists; paths, flags and formulas are skipped
+    known = set(dir(builtins)) | {"fpharmonics"} | {p.stem for p in MODULES}
+    for path in MODULES:
+        known |= src_names(ast.parse(path.read_text()))
+    inline = re.sub(r"```.*?```", "", README, flags=re.S)
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", inline):
+        name = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
+        if name and not set(name.group(1).split(".")) <= known:
+            missing.append(span)
+    assert missing == []
+
+
+def test_readme_commands_parse():
+    block = re.search(r"```sh\n(fpharmonics .*?)```", README, flags=re.S).group(1)
+    for line in (line.split("#")[0] for line in block.splitlines()):
+        argv = shlex.split(line)[1:]
+        assert cli.build_parser().parse_args(argv).command == argv[0], line

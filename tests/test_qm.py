@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +13,9 @@ import pytest
 import fpharmonics
 from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.field import cached_field
-from fpharmonics.qm import (H_ENUM_BUDGET, QMSystem, TrigPoly,
-                            _average_over_H, _lattice_residues, as_fraction,
-                            baby_count, bohr_set, box_fraction,
-                            check_bohr_density, check_pigeon_projection,
+from fpharmonics.qm import (QMSystem, TrigPoly, _average_over_H,
+                            _lattice_residues, as_fraction, baby_count,
+                            bohr_set, box_fraction, check_bohr_density,
                             compose_signal, counting_integral_I,
                             counting_integral_direct, counting_lemma_check,
                             enumerate_H, orbit_arrays, trig_norm)
@@ -140,18 +137,28 @@ def test_box_fraction_asserts_its_floor(monkeypatch):
         box_fraction(system(7, [(1, 1)]), Fraction(1, 2))
 
 
+def random_system_and_eps(rng, trial):
+    """A random system at p in {13, 31, 61, 101}, d <= 3, with a_i = 0 and
+    k_i = 0 on about one coordinate in five each, and an eps that is a float
+    on odd trials and a Fraction on even ones, with its exact value."""
+    p = int(rng.choice([13, 31, 61, 101]))
+    d = int(rng.integers(1, 4))
+    psi = system(p, [(int(rng.integers(0, p)) * (rng.random() > 0.2),
+                      int(rng.integers(0, p - 1)) * (rng.random() > 0.2))
+                     for _ in range(d)])
+    eps = (float(rng.uniform(0.01, 1.0)) if trial % 2
+           else Fraction(int(rng.integers(1, 20)), int(rng.integers(20, 41))))
+    exact = Fraction(*eps.as_integer_ratio()) if trial % 2 else eps
+    return psi, eps, exact
+
+
 def test_exact_integer_bohr_and_box_match_fraction_loops(rng):
     """Reference: Bohr membership by the exact Fraction metric of Psi(x)
     from Python ints, box membership by one Fraction comparison per
-    coordinate."""
+    coordinate of each row of enumerate_H."""
     for trial in range(40):
-        p = int(rng.choice([13, 31, 61, 101]))
-        d = int(rng.integers(1, 4))
-        psi = system(p, [(int(rng.integers(0, p)), int(rng.integers(0, p - 1)))
-                         for _ in range(d)])
-        eps = (float(rng.uniform(0.01, 1.0)) if trial % 2
-               else Fraction(int(rng.integers(1, 20)), int(rng.integers(20, 41))))
-        exact = Fraction(*eps.as_integer_ratio()) if trial % 2 else eps
+        psi, eps, exact = random_system_and_eps(rng, trial)
+        p, d = psi.ctx.p, psi.d
         assert bohr_set(psi, eps) == [
             x for x in range(p) if orbit_metric(psi, x) <= exact]
 
@@ -164,73 +171,51 @@ def test_exact_integer_bohr_and_box_match_fraction_loops(rng):
         assert box_fraction(psi, eps) == (expected, exact ** (3 * d))
 
 
+def test_pigeon_projection_matches_the_fraction_loop(rng):
+    """Each box factor against the pigeonhole Fraction loop over every s in
+    Z_p (resp. Z_{p-1}), which never reads enumerate_H, on 240 systems."""
+    for trial in range(240):
+        psi, eps, exact = random_system_and_eps(rng, trial)
+        p, d = psi.ctx.p, psi.d
+        m_plus = pigeon_measure_loop([p], [[Fraction(a, p) for a in psi.a_vec]], exact)
+        m_times = pigeon_measure_loop([p - 1], [[Fraction(k, p - 1) for k in psi.k_vec]],
+                                      exact)
+        assert box_fraction(psi, eps) == (m_plus ** 2 * m_times, exact ** (3 * d))
+
+
+@pytest.mark.parametrize("eps, dims, name", [
+    (-1, [(1, 1)], "eps"),
+    (0, [(1, 1)], "eps"),
+    (3, [(1, 1)], "eps"),
+    (Fraction(1, 2), [], "d >= 1"),
+])
+def test_box_fraction_rejects_bad_inputs(eps, dims, name):
+    with pytest.raises(ValueError, match=name):
+        box_fraction(system(5, dims), eps)
+
+
 def test_bohr_density_p101():
     psi = system(101, [(1, 1)])
     mu, floor = check_bohr_density(psi, Fraction(1, 2))
     assert mu >= floor == Fraction(1, 8) * Fraction(1, 8) ** 3
 
 
+# The two tests below keep their names from the general pigeonhole walk
+# they first checked; they now check box_fraction's factors.
 def test_pigeon_projection_z10():
-    measure, bound = check_pigeon_projection(
-        [10], [(Fraction(1, 10),)], Fraction(1, 4))
-    assert measure == Fraction(5, 10)
-    assert measure >= bound
+    # Gx = Z_10 at p = 11, k = 1: s/10 within 1/4 for s in {0, 1, 2, 8, 9},
+    # and G+ = Z_11: s/11 within 1/4 for s in {0, 1, 2, 9, 10}
+    frac, floor = box_fraction(system(11, [(1, 1)]), Fraction(1, 4))
+    assert frac == Fraction(5, 11) ** 2 * Fraction(5, 10)
+    assert frac >= floor == Fraction(1, 64)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_pigeon_projection_prime_suite(p):
-    measure, bound = check_pigeon_projection(
-        [p], [(Fraction(1, p),)], Fraction(1, 4))
-    assert measure >= bound
-
-
-def test_pigeon_projection_matches_the_fraction_loop(rng):
-    for trial in range(240):
-        factors = [int(n) for n in rng.integers(1, 9, int(rng.integers(0, 4)))]
-        d = int(rng.integers(0, 4))
-        # n_j pi(e_j) integral: numerators over n_j, some outside [0, n_j)
-        images = [[Fraction(int(rng.integers(-n, 2 * n + 1)), n) for _ in range(d)]
-                  for n in factors]
-        delta = (Fraction(int(rng.integers(1, 13)), 12) if trial % 3
-                 else float(rng.uniform(0.01, 1.0)))
-        measure, bound = check_pigeon_projection(factors, images, delta)
-        assert measure == pigeon_measure_loop(factors, images, as_fraction(delta))
-        assert bound == as_fraction(delta) ** (d if factors else 0)
-
-
-@pytest.mark.parametrize("factors, images, delta, name", [
-    ([5], [(Fraction(1, 5),)], -1, "delta"),
-    ([5], [(Fraction(1, 5),)], 0, "delta"),
-    ([5], [(Fraction(1, 5),)], 3, "delta"),
-    ([5], [], Fraction(1, 4), "pi"),
-    ([5, 5], [(Fraction(1, 5),)], Fraction(1, 4), "pi"),
-    ([5, 5], [(Fraction(1, 5),), (Fraction(1, 5), 0)], Fraction(1, 4), "pi"),
-    ([4], [(Fraction(1, 3),)], Fraction(1, 4), "pi"),
-    ([0], [(0,)], Fraction(1, 4), "factors"),
-    ([5, -1], [(0,), (0,)], Fraction(1, 4), "factors"),
-    ([3.0], [(0,)], Fraction(1, 4), "factors"),
-    ([10**4, 10**3 + 1], [(0,), (0,)], Fraction(1, 4), "budget"),
-])
-def test_pigeon_projection_rejects_bad_inputs(factors, images, delta, name):
-    with pytest.raises(ValueError, match=name):
-        check_pigeon_projection(factors, images, delta)
-
-
-def test_pigeon_projection_walks_G_in_blocks():
-    # |G| = 10^6 with d = 2: one unblocked pass would hold hundreds of MB.
-    # pi(x) = ((x1 + x3)/100, (x2 + x3)/100): for each x3 a bijection of
-    # Z_100^2, so 21^2 of every 100^2 elements are within 1/10
-    factors = [100, 100, 100]
-    images = [(Fraction(1, 100), 0), (0, Fraction(1, 100)), (Fraction(1, 100),) * 2]
-    assert math.prod(factors) <= H_ENUM_BUDGET
-    tracemalloc.start()
-    try:
-        measure, _ = check_pigeon_projection(factors, images, Fraction(1, 10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert measure == Fraction(21**2, 100**2)
-    assert peak < 16 * 2**20, peak
+    # k = 0 makes Gx trivial, so the fraction is m+^2 for Z_p -> 1/p
+    frac, floor = box_fraction(system(p, [(1, 0)]), Fraction(1, 4))
+    assert frac == Fraction(2 * (p // 4) + 1, p) ** 2
+    assert frac >= floor
 
 
 def test_baby_count_constant():

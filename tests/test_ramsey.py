@@ -115,6 +115,19 @@ def test_drc_rejects_bad_eta():
         dependent_random_choice(nux, nuy, {(0, 0)}, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("nux, nuy, A, name", [
+    # weights summing to 1 passed the input check: the nu_x cases then
+    # failed the claims "bad-pair mass" and "alpha/2 <= nu_x(X')", and the
+    # nu_y case returned a result
+    ({0: 2, 1: -1}, {0: 1}, {(0, 0)}, "nu_x"),
+    ({0: 2, 1: -1}, {0: 1}, {(1, 0)}, "nu_x"),
+    ({0: 1}, {0: 2, 1: -1}, {(0, 0)}, "nu_y"),
+])
+def test_drc_rejects_negative_weights(nux, nuy, A, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        dependent_random_choice(nux, nuy, A, Fraction(1, 2))
+
+
 def test_rich_color_single_color(rng):
     G = FiniteGroup((5,))
     col = random_total_coloring(G, G.elements(), 1, rng)

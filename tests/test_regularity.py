@@ -534,6 +534,8 @@ def _majorant_p13(values, eps=0.5):
     (smooth_box_approx, (1, 2, (1,), (0,), (1,), 5e-324), "eps"),
     # tau0 = 2.4e-16: d = 2 is admitted only up to R = 64
     (smooth_box_approx, (2, 128, (0,) * 2, (0,) * 2, (0,) * 2, 0.5), "eps"),
+    # R = 2048 once built for 17 s, past build_atoms' MAX_R = 1024
+    (smooth_box_approx, (1, 2048, (0,), (0,), (0,), 0.5), "R"),
 ])
 def test_smooth_boxes_reject_bad_inputs(build, args, name):
     with pytest.raises(ValueError, match=f"^{name} "):
