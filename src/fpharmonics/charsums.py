@@ -51,7 +51,7 @@ def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
     if t != len(shifts):
         raise ValueError("one shift per character")
     if t >= p:
-        raise ValueError("need t < p")
+        raise ValueError(f"need t < p: t = {t} characters at p = {p}")
     hs = [h % p for h in shifts]
     if len(set(hs)) != t:
         raise ValueError("shifts must be distinct")

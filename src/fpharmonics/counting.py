@@ -5,9 +5,10 @@ functions, p^2 * T counts pairs (x,y) whose quadruple (x, y, x+y, xy) is
 confined to the indicated sets.  The censuses here are the exact-integer
 ground truth; the floating T is the cross-check.
 
-T, T_tilde and the censuses walk the pair table (x, y) in blocks of about
-ROW_BLOCK entries: they run at any table prime in O(p^2) time and hold
-no p x p array.
+T, T_tilde and the censuses walk the pair table (x, y) over all of
+F x F in blocks of about ROW_BLOCK entries: they run at any table prime in
+O(p^2) time and hold no p x p array.  Row x = 0 and column y = 0 are
+pairs like any other; T_tilde drops them by zeroing g1(0) and g2(0).
 
 Audit policy.  Every claim the library checks, float or exact, goes through
 MarginReport.check(name, lhs, rhs, **details): it records lhs <= rhs with
@@ -46,48 +47,43 @@ TOL = 1e-9  # the one float tolerance of every audit
 
 
 def _row_blocks(ctx: FieldCtx, v_add: np.ndarray, v_mul: np.ndarray):
-    """Walk the pair table over x, y in F* in blocks of rows x.
+    """Walk the pair table over x, y in F in blocks of rows x.
 
     For (..., p) arrays v_add and v_mul, yields (lo, hi, A, M) with
-    A[..., x - lo, y - 1] = v_add(x + y) and M[..., x - lo, y - 1] = v_mul(xy)
-    for lo <= x < hi.  A is a window over v_add twice over (no copy); M
-    gathers the dlog-ordered copy v_mul(g^a), doubled, at dlog x + dlog y,
-    so no index is reduced mod p.  Row x = 0 and column y = 0 are left to
-    each caller's closed form.  M and its index live in two buffers
-    allocated once per call, so M is only valid until the next block.
+    A[..., x - lo, y] = v_add(x + y) and M[..., x - lo, y] = v_mul(xy)
+    for lo <= x < hi.  A is a window over v_add twice over (no copy).  M
+    gathers at dlog x + dlog y from the dlog-ordered copy v_mul(g^a),
+    doubled, with v_mul(0) appended, so no index is reduced mod p.  The
+    log of 0, 2(p-1), exceeds every sum of two logs in F*, so mode "clip"
+    sends each product with a factor 0 to that last entry.  M and its
+    index live in two buffers allocated once per call, so M is only
+    valid until the next block.
     """
     p = ctx.p
     adds = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((v_add, v_add[..., :-1]), axis=-1), p - 1, axis=-1)
+        np.concatenate((v_add, v_add[..., :-1]), axis=-1), p, axis=-1)
     h = v_mul[..., ctx.pow_g]
-    step = min(max(1, ROW_BLOCK // h.size), p - 1)  # h.size: one row of each table
-    h = np.concatenate((h, h), axis=-1)
-    dlog_y = ctx.dlog[1:]
-    idx = np.empty((step, p - 1), dtype=np.intp)
+    h = np.concatenate((h, h, v_mul[..., :1]), axis=-1)
+    step = min(max(1, ROW_BLOCK // v_mul.size), p)  # v_mul.size: one row of each table
+    idx = np.empty((step, p), dtype=np.intp)
     M = np.empty(h.shape[:-1] + idx.shape, dtype=h.dtype)
-    for lo in range(1, p, step):
+    for lo in range(0, p, step):
         n = min(step, p - lo)
-        np.add(ctx.dlog[lo:lo + n, None], dlog_y, out=idx[:n])
-        # indices are in range; mode "clip" only spares take() a buffered copy
+        np.add(ctx.dlog[lo:lo + n, None], ctx.dlog, out=idx[:n])
         np.take(h, idx[:n], axis=-1, out=M[..., :n, :], mode="clip")
-        yield lo, lo + n, adds[..., lo + 1:lo + n + 1, :], M[..., :n, :]
+        yield lo, lo + n, adds[..., lo:lo + n, :], M[..., :n, :]
 
 
 def _pair_sum(ctx: FieldCtx, v1, v2, v3, v4) -> complex:
-    """sum_{x, y in F*} v1(x) v2(y) v3(x+y) v4(xy)."""
-    v2_star = v2[1:]
-    return sum(v1[lo:hi] @ np.einsum("ij,ij,j->i", A, M, v2_star)
+    """sum_{x, y in F} v1(x) v2(y) v3(x+y) v4(xy)."""
+    return sum(v1[lo:hi] @ np.einsum("ij,ij,j->i", A, M, v2)
                for lo, hi, A, M in _row_blocks(ctx, v3, v4))
 
 
 def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
-    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation; the
-    pairs (0, y) and (x, 0) reduce to f1(0) f4(0) sum_y f2 f3 and
-    f2(0) f4(0) sum_{x != 0} f1 f3."""
+    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation."""
     ctx = require_same_ctx(f1, f2, f3, f4)
-    v1, v2, v3, v4 = (f.values for f in (f1, f2, f3, f4))
-    border = v4[0] * (v1[0] * np.sum(v2 * v3) + v2[0] * np.sum(v1[1:] * v3[1:]))
-    return complex((border + _pair_sum(ctx, v1, v2, v3, v4)) / ctx.p**2)
+    return complex(_pair_sum(ctx, *(f.values for f in (f1, f2, f3, f4))) / ctx.p**2)
 
 
 def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
@@ -100,9 +96,10 @@ def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
 
 
 def T_tilde(g1: Signal, g2: Signal, g4: Signal) -> complex:
-    """E_{x,y in F*} g1(x) g2(y) g4(xy)."""
+    """E_{x,y in F*} g1(x) g2(y) g4(xy): the pair walk with g1(0) = g2(0) = 0."""
     ctx = require_same_ctx(g1, g2, g4)
-    total = _pair_sum(ctx, g1.values, g2.values, np.ones(ctx.p), g4.values)
+    v1, v2 = (np.concatenate(([0], g.values[1:])) for g in (g1, g2))
+    total = _pair_sum(ctx, v1, v2, np.ones(ctx.p), g4.values)
     return complex(total / (ctx.p - 1)**2)
 
 
@@ -178,20 +175,14 @@ class QuadrupleCensus:
 
 def monochromatic_counts(ctx: FieldCtx, assign) -> np.ndarray:
     """Per-x counts [..., x] of the y in F with x, y, x+y, xy all of one
-    color, for a (..., p) stack of total colorings of F_p.
-
-    The pairs (0, y) and (x, 0) are monochromatic exactly when y, resp. x,
-    has the color of 0.
-    """
+    color, for a (..., p) stack of total colorings of F_p."""
     a = np.asarray(assign)
     c = a.astype(np.promote_types(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
-    same0 = c == c[..., :1]
-    counts = same0.astype(np.int64)
-    counts[..., 0] = np.count_nonzero(same0, axis=-1)
-    c_star = c[..., None, 1:]
+    counts = np.empty(c.shape, dtype=np.int64)
+    c_y = c[..., None, :]
     for lo, hi, A, M in _row_blocks(ctx, c, c):
         cx = c[..., lo:hi, None]
-        counts[..., lo:hi] += np.count_nonzero((c_star == cx) & (A == cx) & (M == cx), axis=-1)
+        counts[..., lo:hi] = np.count_nonzero((c_y == cx) & (A == cx) & (M == cx), axis=-1)
     return counts
 
 
@@ -212,18 +203,15 @@ _TRIPLE_KINDS = {"sum": (0, 1), "product": (0, 2), "shkredov": (1, 2)}
 
 def census_triples(ctx: FieldCtx, A, kind: str = "shkredov") -> int:
     """Count pairs (x,y) whose triple lies in A: kind 'sum' counts
-    (x, y, x+y), 'product' counts (x, y, xy), 'shkredov' counts (x, x+y, xy).
-
-    For every kind the pairs (0, y) and (x, 0) count when 0 and y, resp.
-    0 and x, lie in A: 2|A| - 1 of them if 0 is in A, none otherwise.
-    """
+    (x, y, x+y), 'product' counts (x, y, xy), 'shkredov' counts (x, x+y, xy)."""
     if kind not in _TRIPLE_KINDS:
-        raise ValueError(kind)
+        raise ValueError(f"unknown triple kind {kind!r}: expected one of "
+                         + ", ".join(map(repr, _TRIPLE_KINDS)))
     i, j = _TRIPLE_KINDS[kind]
     mask = indicator(ctx, A).values != 0
-    count = int(mask[0]) * (2 * int(np.count_nonzero(mask)) - 1)
+    count = 0
     for lo, hi, in_add, in_mul in _row_blocks(ctx, mask, mask):
-        in_A = (mask[1:], in_add, in_mul)
+        in_A = (mask, in_add, in_mul)
         count += int(np.count_nonzero((in_A[i] & in_A[j])[mask[lo:hi]]))
     return count
 

@@ -3,7 +3,8 @@
 Characters follow two conventions used throughout the package:
   * additive: e_p(x) = exp(2*pi*i*x/p),
   * multiplicative: chi_k(g^a) = e(k*a/(p-1)) for the fixed primitive
-    root g, extended to the whole field by chi(0) = 1.
+    root g, extended to the whole field by chi(0) = 1: dlog 0 = 2(p-1) is
+    0 mod p-1 and exceeds dlog x + dlog y for every x, y in F*.
 
 All angle bookkeeping is integer arithmetic mod p or mod p-1; complex
 values only appear through precomputed root-of-unity tables, so "is this
@@ -47,7 +48,7 @@ class FieldCtx:
 
     p: int
     g: int
-    dlog: np.ndarray      # length p; dlog[x] = a with g^a = x; dlog[0] = -1
+    dlog: np.ndarray      # length p; dlog[x] = a with g^a = x; dlog[0] = 2(p-1)
     pow_g: np.ndarray     # length p-1; pow_g[a] = g^a mod p
     roots_p: np.ndarray   # exp(2*pi*i*j/p), j = 0..p-1
     roots_pm1: np.ndarray # exp(2*pi*i*j/(p-1)), j = 0..p-2
@@ -95,7 +96,7 @@ def new_field(p: int) -> FieldCtx:
     g = next(c for c in range(2, p) if is_primitive_root(c, p, factors))
 
     pow_g = np.empty(p - 1, dtype=np.int64)
-    dlog = np.full(p, -1, dtype=np.int64)
+    dlog = np.full(p, 2 * (p - 1), dtype=np.int64)
     acc = 1
     for a in range(p - 1):
         pow_g[a] = acc
@@ -136,11 +137,7 @@ class MultChar:
 
 def mult_char_values(ctx: FieldCtx, chi: MultChar) -> np.ndarray:
     """Array of chi(x) for x = 0..p-1 (chi(0) = 1)."""
-    vals = np.empty(ctx.p, dtype=np.complex128)
-    vals[0] = 1.0
-    xs = np.arange(1, ctx.p, dtype=np.int64)
-    vals[1:] = ctx.roots_pm1[(chi.k % (ctx.p - 1)) * ctx.dlog[xs] % (ctx.p - 1)]
-    return vals
+    return ctx.roots_pm1[(chi.k % (ctx.p - 1)) * ctx.dlog % (ctx.p - 1)]
 
 
 def quad_phase_values(ctx: FieldCtx, r: int, s: int) -> np.ndarray:

@@ -108,7 +108,8 @@ class QMSystem:
 
 def orbit_arrays(psi: QMSystem):
     """Integer numerator arrays of Psi over all of F_p: (TH1, TH2, V),
-    each of shape (p, d), denominators p, p, p-1."""
+    each of shape (p, d), denominators p, p, p-1.  V's row 0 is 0, as
+    dlog 0 = 2(p-1) is 0 mod p-1: chi(0) = 1."""
     ctx = psi.ctx
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
@@ -116,8 +117,7 @@ def orbit_arrays(psi: QMSystem):
     k = np.array(psi.k_vec, dtype=np.int64)
     th1 = (x * x % p)[:, None] * a[None, :] % p
     th2 = (2 * x % p)[:, None] * a[None, :] % p
-    dl = np.where(x == 0, 0, ctx.dlog[x])
-    v = dl[:, None] * k[None, :] % (p - 1)
+    v = ctx.dlog[:, None] * k[None, :] % (p - 1)
     return th1, th2, v
 
 

@@ -300,6 +300,9 @@ class PairColoring:
         try:
             group = FiniteGroup(tuple(obj["group"]))
             T = tuple(tuple(t) for t in obj["T"])
+            if len(T) > 2**EXTREMAL_MAX_R:  # the tables cost |T|^2 memory, |T|^3 time
+                raise ValueError(f"|T| = {len(T)} > 2^{EXTREMAL_MAX_R} breaks the "
+                                 "5 s / 200 MB budget of one ramsey report")
             classes = [frozenset((tuple(t), tuple(u)) for t, u in cls)
                        for cls in obj["classes"]]
         except (KeyError, TypeError) as exc:

@@ -46,6 +46,12 @@ def test_weil_rejects_all_principal():
         weil_product_sum(ctx, [MultChar(0), MultChar(0)], [0, 1])
 
 
+def test_weil_rejects_t_at_least_p_naming_both():
+    # once "need t < p", where t is no flag of `charsum --p 3`
+    with pytest.raises(ValueError, match=r"^need t < p: t = 3 characters at p = 3$"):
+        weil_product_sum(cached_field(3), [MultChar(1)] * 3, [0, 1, 2])
+
+
 def test_weil_rejects_repeated_shifts():
     ctx = cached_field(13)
     with pytest.raises(ValueError):

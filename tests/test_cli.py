@@ -178,7 +178,10 @@ def _total_pair_coloring(T, n=7):
     ({"group": [7], "T": [[0]]}, "malformed"),
     ({"group": [7], "T": [[0]], "classes": [[[[0], 1]]]}, "malformed"),
     ([1], "malformed"),
-], ids=("repeated", "out-of-range", "non-integer", "no-classes", "bad-pair", "not-a-dict"))
+    # the tables cost |T|^2 memory: |T| = 1024 once took 9.7 s and 664 MB
+    ({"group": [1024], "T": [[t] for t in range(513)], "classes": [[]]}, "|T| = 513 > 2^9"),
+], ids=("repeated", "out-of-range", "non-integer", "no-classes", "bad-pair", "not-a-dict",
+        "oversized-T"))
 def test_ramsey_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys):
     path = tmp_path / "col.json"
     path.write_text(json.dumps(coloring))

@@ -13,9 +13,9 @@ from pathlib import Path
 import fpharmonics
 from fpharmonics import counting, harmonic
 from fpharmonics.calibration import AUDIT_CONSTANTS
-from fpharmonics.counting import (ROW_BLOCK, TOL, Coloring, HypothesisError,
+from fpharmonics.counting import (TOL, Coloring, HypothesisError,
                                   MarginReport, T,
-                                  T_spectral_sums, T_tilde,
+                                  T_spectral_sums, T_tilde, _row_blocks,
                                   census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
                                   check_u2times_star_bound, differencing_sup,
@@ -139,6 +139,12 @@ def test_triples_qr_regression():
     a = sorted({pow(x, 2, 13) for x in range(1, 13)} | {0})
     assert census_triples(ctx, a, "shkredov") == 31
     assert census_triples(ctx, a, "sum") == 31
+
+
+def test_triples_unknown_kind_lists_the_kinds():
+    # once ValueError('sums'), which named only what was passed
+    with pytest.raises(ValueError, match="expected one of 'sum', 'product', 'shkredov'"):
+        census_triples(cached_field(13), [1, 3], "sums")
 
 
 def test_u2plus_bound_random_suite(rng):
@@ -289,7 +295,7 @@ def test_simple_lemma_random_suite(rng):
 # -- the p x p grid formulas the row-block kernels replaced, kept as oracles --
 
 TRIPLE_KINDS = ("sum", "product", "shkredov")
-# 401: its 400 rows split into blocks of 163, 163 and 74
+# 401: its 401 rows split into blocks of 163, 163 and 75
 ORACLE_PRIMES = (3, 5, 13, 401, 1009)
 
 
@@ -321,8 +327,9 @@ def assert_close(got, want):
 
 
 def test_oracle_primes_include_an_uneven_block_split():
-    p = 401
-    assert (p - 1) % (ROW_BLOCK // (p - 1)) != 0
+    ctx = cached_field(401)
+    v = np.zeros(ctx.p)
+    assert [hi - lo for lo, hi, _, _ in _row_blocks(ctx, v, v)] == [163, 163, 75]
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

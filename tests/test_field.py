@@ -43,8 +43,18 @@ def test_mult_char_fixtures():
     assert mult_char_values(cached_field(7), MultChar(0))[4] == pytest.approx(1)
     # dlog_2(4) = 2, e(2*2/4) = 1
     assert mult_char_values(ctx5, MultChar(2))[4] == pytest.approx(1)
-    # chi(0) = 1 convention
+    # chi(0) = 1 convention, for every k
     assert mult_char_values(ctx5, MultChar(1))[0] == pytest.approx(1)
+    for k in range(-13, 26):
+        assert mult_char_values(cached_field(13), MultChar(k))[0] == pytest.approx(1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 401, 1009])
+def test_log_of_zero_is_zero_mod_p_minus_1_and_above_every_log_sum(p):
+    # chi(0) = 1 and the pair walk's clip to v_mul(0) both rest on this
+    ctx = cached_field(p)
+    assert ctx.dlog[0] % (p - 1) == 0
+    assert ctx.dlog[0] > 2 * (p - 2)
 
 
 def test_dlog_pow_inverse():
