@@ -30,11 +30,13 @@ A trig polynomial is evaluated from the context's root-of-unity tables:
 each term (xi1, xi2, xi3) gathers one phase table per coordinate block,
 roots_p[A xi1 % p], roots_p[B xi2 % p] and roots_pm1[C xi3 % (p-1)], for
 numerator rows A, B, C.  Along an orbit the tables are multiplied
-entrywise; over a product of row sets, F takes the value
-(E1[i] * E2[j]) @ (c * E3^T) at every point (A[i], B[j], C), in blocks of
-about counting.ROW_BLOCK values.  The two oracles, the average over H and
-the average over H^2, are such pointwise enumerations; they never read the
-lattices, so they check the lattice formulas independently.
+entrywise.  The average over H = G+ x G+ x Gx factors by Fubini: each term
+averages to its coefficient times the means of its three tables over the
+rows of G+, G+ and Gx.  Over a product of row sets F takes the value
+(E1[i] * E2[j]) @ (c * E3^T) at every point (A[i], B[j], C), and the
+average over H^2 is such a pointwise enumeration.  Both oracles read only
+the enumerated rows of H, never the lattices, so they check the lattice
+formulas independently.
 """
 
 from __future__ import annotations
@@ -239,20 +241,13 @@ def _lattice_residues(psi: QMSystem, F: TrigPoly) -> tuple:
     return a @ X1 % psi.ctx.p, a @ X2 % psi.ctx.p, k @ X3 % (psi.ctx.p - 1), c
 
 
-def _product_blocks(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
-                    C: np.ndarray):
-    """F at every point (A[i], B[j], C[k]) of a product of row sets.
-
-    Yields arrays of shape (b, len(C)) for consecutive pairs (i, j) in
-    row-major order, each (E1[i] * E2[j]) @ (c * E3^T), with
-    b = ROW_BLOCK // len(C) pairs per block (at least one)."""
+def _on_product(ctx: FieldCtx, F: TrigPoly, A: np.ndarray, B: np.ndarray,
+                C: np.ndarray) -> np.ndarray:
+    """F at every point (A[i], B[j], C[k]) of a product of row sets, shape
+    (len(A), len(B), len(C)): (E1[i] * E2[j]) @ (c * E3^T) for each (i, j)."""
     E1, E2, E3, c = _phase_tables(ctx, F, A, B, C)
-    right = (c * E3).T
-    nb, n = len(B), len(A) * len(B)
-    step = max(1, ROW_BLOCK // len(C))
-    for lo in range(0, n, step):
-        ij = np.arange(lo, min(lo + step, n))
-        yield (E1[ij // nb] * E2[ij % nb]) @ right
+    pairs = (E1[:, None, :] * E2[None, :, :]).reshape(len(A) * len(B), -1)
+    return (pairs @ (c * E3).T).reshape(len(A), len(B), len(C))
 
 
 def compose_signal(psi: QMSystem, F: TrigPoly) -> Signal:
@@ -317,7 +312,9 @@ def check_bohr_density(psi: QMSystem, eps) -> tuple:
 
 def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     """(lhs, rhs, margin) for E_x F(Psi(x)) = sum over lattice-constrained
-    coefficients, with the rhs cross-checked by direct H enumeration.
+    coefficients, with the rhs cross-checked against the average of F over
+    H_Psi (the product of the orbit means per term, see _average_over_H)
+    when |H| <= H_ENUM_BUDGET.
 
     On-lattice terms average to their coefficient exactly; each off-lattice
     term is a single mixed character sum, at most babycount_single_mode /
@@ -341,13 +338,13 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
 
 
 def _average_over_H(F: TrigPoly, H: HGroup) -> complex:
-    """Direct average of F over H = G+ x G+ x Gx: F is evaluated at every
-    one of the |H| points, in blocks of about ROW_BLOCK values, and the
-    values are summed.  It reads only the enumerated rows of H, never the
-    lattices, so it is an independent check of the lattice sum."""
-    gp, gt = H.gplus, H.gtimes
-    total = sum(np.sum(blk) for blk in _product_blocks(H.psi.ctx, F, gp, gp, gt))
-    return complex(total / H.size)
+    """Average of F over H = G+ x G+ x Gx by Fubini: each term
+    c e(t . xi1) e(u . xi2) e(v . xi3) averages to c times the means of its
+    three phase tables over the enumerated rows of G+, G+ and Gx, at a cost
+    of O((2 |G+| + |Gx|) m d) for m terms.  It reads only the rows of H,
+    never the lattices, so it is an independent check of the lattice sum."""
+    E1, E2, E3, c = _phase_tables(H.psi.ctx, F, H.gplus, H.gplus, H.gtimes)
+    return complex(c @ (E1.mean(axis=0) * E2.mean(axis=0) * E3.mean(axis=0)))
 
 
 def counting_integral_I(psi: QMSystem, F: TrigPoly,
@@ -381,7 +378,8 @@ def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:
     """Oracle: pointwise average of F(t,u,v) F(t+u',u,v') F(t',u',v) over H^2.
 
     Fa[t, u, v] holds F on H and Fb[t, u', u, v'] = F((t+u') mod p, u, v'),
-    both from the enumerated rows of H (|H| and |H|^{3/2} values at most).
+    both evaluated at every point from the enumerated rows of H (|H| and
+    |H|^{3/2} values at most).
     The product Fa[t,u,v] Fb[t,u',u,v'] Fa[t',u',v] is formed at every one
     of the |H|^2 points, in blocks of consecutive (t, u, v), each with its
     |H| points (t', u', v'), of about ROW_BLOCK points, and summed.  Nothing
@@ -394,9 +392,9 @@ def counting_integral_direct(psi: QMSystem, F: TrigPoly) -> complex:
     ctx = psi.ctx
     gp, gt = H.gplus, H.gtimes
     n, nt = len(gp), len(gt)
-    Fa = np.concatenate(list(_product_blocks(ctx, F, gp, gp, gt))).reshape(n, n, nt)
+    Fa = _on_product(ctx, F, gp, gp, gt)
     shifted = ((gp[:, None, :] + gp[None, :, :]) % ctx.p).reshape(n * n, -1)
-    Fb = np.concatenate(list(_product_blocks(ctx, F, shifted, gp, gt))).reshape(n, n, n, nt)
+    Fb = _on_product(ctx, F, shifted, gp, gt).reshape(n, n, n, nt)
     Fa_v = Fa.transpose(2, 0, 1)  # [v, t', u']
     step = max(1, ROW_BLOCK // H.size)
     total = 0j

@@ -223,3 +223,23 @@ def counting_integral_loop(psi, F) -> complex:
                 if _in_lambda_plus(psi, up_key) and _in_lambda_times(psi, v_key):
                     total += ca * cb * cc
     return total
+
+
+def average_over_H_pointwise(F, H) -> complex:
+    """Average of F over H = G+ x G+ x Gx with F evaluated at every point,
+    one np.exp per term, one row t of G+ at a time (|G+| |Gx| points per
+    row): the meshgrid average of test_qm in blocks, so it reaches a full
+    orbit at p = 101 (|H| = 1,020,100) and is the oracle for the
+    factored _average_over_H."""
+    p = H.psi.ctx.p
+    iu, iv = (a.ravel() for a in np.meshgrid(np.arange(len(H.gplus)),
+                                             np.arange(len(H.gtimes)), indexing="ij"))
+    U, V = H.gplus[iu], H.gtimes[iv]
+    total = 0j
+    for t in H.gplus:
+        for (x1, x2, x3), c in F.terms.items():
+            n12 = (int(t @ np.array(x1, dtype=np.int64))
+                   + U @ np.array(x2, dtype=np.int64)) % p
+            n3 = V @ np.array(x3, dtype=np.int64) % (p - 1)
+            total += c * np.sum(np.exp(2j * np.pi * (n12 / p + n3 / (p - 1))))
+    return total / H.size

@@ -19,9 +19,9 @@ from fpharmonics.qm import (QMSystem, TrigPoly, _average_over_H,
                             compose_signal, counting_integral_I,
                             counting_integral_direct, counting_lemma_check,
                             enumerate_H, orbit_arrays, trig_norm)
-from reference import (baby_count_lattice_sum, constant_trig_poly,
-                       counting_integral_loop, orbit_metric,
-                       pigeon_measure_loop)
+from reference import (average_over_H_pointwise, baby_count_lattice_sum,
+                       constant_trig_poly, counting_integral_loop,
+                       orbit_metric, pigeon_measure_loop)
 
 
 def system(p, dims):
@@ -415,10 +415,37 @@ def test_phase_table_evaluators_match_meshgrid_oracle(p, d, rng):
     assert checked["H"] >= 4 and checked["H2"] >= 4, checked
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("p", (61, 101))
+def test_average_over_H_matches_the_pointwise_average(p, d, rng):
+    # full orbits (|H| = p^2 (p-1): 223,260 and 1,020,100), a = 0 (|G+| = 1),
+    # k sharing a factor with p - 1, and k = 0 (|Gx| = 1). The probe terms
+    # average to 1 or 0 factor by factor (the constant, and e1 in one block
+    # with 0 in the others), so a missing, misplaced or unnormalised orbit
+    # mean moves the average.
+    z, e1 = (0,) * d, (1,) + (0,) * (d - 1)
+    probe = {(z, z, z): 0.3, (e1, z, z): 0.2j, (z, e1, z): -0.25, (z, z, e1): 0.4}
+    q = p - 1
+    a = [int(x) for x in rng.integers(1, p, d)]
+    k = [int(x) for x in rng.integers(0, q, d)]
+    systems = [[(a[0], 1)] + list(zip(a[1:], k[1:])),
+               [(0, 2 * x % q) for x in k],
+               [(x, 6 * y % q) for x, y in zip(a, k)],
+               [(0, 0)] * d]
+    sizes = []
+    for dims in systems:
+        H = enumerate_H(system(p, dims))
+        F = TrigPoly(d, {**TrigPoly.random(d, rng, n_terms=4, max_freq=2).terms, **probe})
+        assert abs(_average_over_H(F, H) - average_over_H_pointwise(F, H)) < 1e-12
+        sizes.append(H.size)
+    assert sizes[0] == p * p * q and sizes[1] < q and sizes[3] == 1, sizes
+
+
 @pytest.mark.parametrize("call, p, limit_mb", [("baby_count", 211, 50),
                                                 ("counting_integral_direct", 11, 20)])
 def test_H_enumerations_hold_bounded_memory(call, p, limit_mb):
-    # |H| = 211^2 * 210 = 9.35e6 points for baby_count; |H|^2 = 1.46e6 at p = 11
+    # baby_count covers |H| = 211^2 * 210 = 9.35e6 points from 2 * 211 + 210
+    # orbit rows; the H^2 oracle evaluates |H|^2 = 1.46e6 points at p = 11
     script = textwrap.dedent(f"""
         import resource
         import numpy as np
