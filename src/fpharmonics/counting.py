@@ -6,9 +6,11 @@ confined to the indicated sets.  The censuses here are the exact-integer
 ground truth; the floating T is the cross-check.
 
 T, T_tilde and the censuses walk the pair table (x, y) over all of
-F x F in blocks of about ROW_BLOCK entries: they run at any table prime in
-O(p^2) time and hold no p x p array.  Row x = 0 and column y = 0 are
-pairs like any other; T_tilde drops them by zeroing g1(0) and g2(0).
+F x F once (_pair_walk): they run at any table prime in O(p^2) time and
+hold no p x p array.  F* x F* is walked in discrete-log coordinates,
+where every slot is a window or a row copy of a dlog-ordered table, and
+row x = 0 with column y = 0 is one block of 2p - 1 pairs.  T_tilde drops
+that block's pairs by zeroing g1(0) and g2(0).
 
 Audit policy.  Every claim the library checks, float or exact, goes through
 MarginReport.check(name, lhs, rhs, **details): it records lhs <= rhs with
@@ -42,42 +44,72 @@ from .harmonic import (Signal, add_transform, difference_spectrum, indicator,
                        norm_u3_plus, require_same_ctx)
 
 
-ROW_BLOCK = 1 << 16  # entries in one block of the pair table
+ROW_BLOCK = 1 << 16  # entries per block of a blocked loop (bytes per parity in a _pair_walk block)
 TOL = 1e-9  # the one float tolerance of every audit
 
 
-def _row_blocks(ctx: FieldCtx, v_add: np.ndarray, v_mul: np.ndarray):
-    """Walk the pair table over x, y in F in blocks of rows x.
+def _pair_walk(ctx: FieldCtx, v1, v2, v3, v4):
+    """Walk the pair table over all of F x F in blocks.
 
-    For (..., p) arrays v_add and v_mul, yields (lo, hi, A, M) with
-    A[..., x - lo, y] = v_add(x + y) and M[..., x - lo, y] = v_mul(xy)
-    for lo <= x < hi.  A is a window over v_add twice over (no copy).  M
-    gathers at dlog x + dlog y from the dlog-ordered copy v_mul(g^a),
-    doubled, with v_mul(0) appended, so no index is reduced mod p.  The
-    log of 0, 2(p-1), exceeds every sum of two logs in F*, so mode "clip"
-    sends each product with a factor 0 to that last entry.  M and its
-    index live in two buffers allocated once per call, so M is only
-    valid until the next block.
+    For (..., p) arrays v1..v4, yields (cols, X, Y, S, M): the values
+    v1(x), v2(y), v3(x+y) and v4(xy) on a block of pairs, in one dtype, as
+    (..., planes, rows, columns) arrays that broadcast together.  The walk
+    has 2p - 1 columns: x = g^j in column j < p - 1 and x = 0 in the rest,
+    and cols is the slice of them a block covers.  S is the caller's to
+    overwrite.
+
+    F* x F* comes first, in discrete-log coordinates x = g^a, y = x t,
+    t = g^c: y = g^(a+c), xy = g^(2a+c) and x + y = g^(a + zech[c]), where
+    zech[c] = 2(p-1), the log of 0, at t = -1.  The rows c = 2k + e go by
+    parity e, so that with D_e(j) = v4(g^(2j+e)), xy = D_e(k + a).  Y is a
+    window at offset c over the dlog-ordered v2, M a window at offset k
+    over D_e, and S copies the rows zech[c] of a window over the
+    dlog-ordered v3, twice over and then v3(0), which row 2(p-1) reads.  A
+    block holds about 2 ROW_BLOCK bytes of each slot.  The last block is
+    the 2p - 1 pairs with x = 0 or y = 0: (g^a, 0), then (0, g^b), then
+    (0, 0), in one row.
+
+    Every slot is a window over one gather of v1..v4 at the indices
+    [g^a, g^a, 0 (p times), g^a, 0, g^(2j) (3 times), g^(2j+1) (3 times)],
+    so no pair is looked up.  The gather keeps the stack axes (...)
+    innermost, so that for a stack of short tables each numpy call runs
+    over a row of every table at once.
     """
-    p = ctx.p
-    adds = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((v_add, v_add[..., :-1]), axis=-1), p, axis=-1)
-    h = v_mul[..., ctx.pow_g]
-    h = np.concatenate((h, h, v_mul[..., :1]), axis=-1)
-    step = min(max(1, ROW_BLOCK // v_mul.size), p)  # v_mul.size: one row of each table
-    idx = np.empty((step, p), dtype=np.intp)
-    M = np.empty(h.shape[:-1] + idx.shape, dtype=h.dtype)
-    for lo in range(0, p, step):
-        n = min(step, p - lo)
-        np.add(ctx.dlog[lo:lo + n, None], ctx.dlog, out=idx[:n])
-        np.take(h, idx[:n], axis=-1, out=M[..., :n, :], mode="clip")
-        yield lo, lo + n, adds[..., lo:lo + n, :], M[..., :n, :]
+    n = ctx.p - 1
+    h = n // 2
+    pg = ctx.pow_g
+    d = pg.reshape(h, 2).T  # d[e, k] = g^(2k+e)
+    zero = np.zeros(n + 1, dtype=pg.dtype)
+    vs = np.array((v1, v2, v3, v4))
+    lead = vs.shape[1:-1]
+    src = vs.transpose(0, vs.ndim - 1, *range(1, vs.ndim - 1)).take(
+        np.concatenate((pg, pg, zero, pg, zero[:1], d[0], d[0], d[0], d[1], d[1], d[1])), axis=1)
+    # views of slot k from entry j: offset k * slot + j * row bytes
+    slot, row, ls, dt = src.strides[0], src.strides[1], src.strides[2:], src.dtype
+    Y = np.ndarray(lead + (2, h, n), dt, src, slot, ls + (row, 2 * row, row))
+    M = np.ndarray(lead + (2, h, n), dt, src, 3 * slot + (4 * n + 2) * row, ls + (3 * h * row, row, row))
+    S = np.ndarray((2 * n + 1, n) + lead, dt, src, 2 * slot, (row, row) + ls)
+    rows_last = (*range(3, 3 + len(lead)), 0, 1, 2)  # S's row copies to (lead, planes, rows, columns)
+    zech = ctx.zech.reshape(h, 2).T  # zech[e, k] at c = 2k + e
+    X = np.ndarray(lead + (1, 1, n), dt, src, 0, ls + (0, 0, row))
+    step = max(1, ROW_BLOCK // X.nbytes)  # X.nbytes: one row of one slot
+    for lo in range(0, h, step):
+        k = slice(lo, lo + step)
+        yield slice(n), X, Y[..., k, :], S[zech[:, k]].transpose(rows_last), M[..., k, :]
+    edge, es = lead + (1, 1, 2 * n + 1), ls + (0, 0, row)
+    yield (slice(None), np.ndarray(edge, dt, src, n * row, es),
+           np.ndarray(edge, dt, src, slot + (2 * n + 1) * row, es), np.ndarray(edge, dt, src, 2 * slot, es),
+           np.ndarray(lead + (1, 1, 1), dt, src, 3 * slot + 2 * n * row, ls + (0, 0, 0)))
 
 
 def _pair_sum(ctx: FieldCtx, v1, v2, v3, v4) -> complex:
     """sum_{x, y in F} v1(x) v2(y) v3(x+y) v4(xy)."""
-    return sum(v1[lo:hi] @ np.einsum("ij,ij,j->i", A, M, v2)
-               for lo, hi, A, M in _row_blocks(ctx, v3, v4))
+    total = 0
+    for _, X, Y, S, M in _pair_walk(ctx, v1, v2, v3, v4):
+        S *= Y
+        S *= M
+        total += (S @ X[0, 0]).sum()
+    return total
 
 
 def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
@@ -178,12 +210,16 @@ def monochromatic_counts(ctx: FieldCtx, assign) -> np.ndarray:
     color, for a (..., p) stack of total colorings of F_p."""
     a = np.asarray(assign)
     c = a.astype(np.promote_types(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
-    counts = np.empty(c.shape, dtype=np.int64)
-    c_y = c[..., None, :]
-    for lo, hi, A, M in _row_blocks(ctx, c, c):
-        cx = c[..., lo:hi, None]
-        counts[..., lo:hi] = np.count_nonzero((c_y == cx) & (A == cx) & (M == cx), axis=-1)
-    return counts
+    p = ctx.p
+    counts = np.zeros(c.shape[:-1] + (2 * p - 1,), dtype=np.int64)  # per column of the walk
+    for cols, X, Y, S, M in _pair_walk(ctx, c, c, c, c):
+        same = S == X
+        same &= Y == X
+        same &= M == X
+        # a block has at most sqrt(2 ROW_BLOCK) rows, so uint16 holds each sum
+        counts[..., cols] += np.add.reduce(same, axis=(-3, -2), dtype=np.uint16)
+    counts[..., p - 1] = counts[..., p - 1:].sum(axis=-1)  # the columns with x = 0
+    return np.take(counts[..., :p], ctx.dlog, axis=-1, mode="clip")  # dlog 0 = 2(p-1) clips to p-1
 
 
 def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
@@ -192,9 +228,10 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
         raise ValueError("coloring domain is not F_p")
     if c.r > ctx.p:
         raise ValueError(f"{c.r} colors on F_{ctx.p}: at most p classes can be used")
-    per_x = monochromatic_counts(ctx, c.assign)
-    per = [int(per_x[c.assign == i].sum()) for i in range(c.r)]
-    return QuadrupleCensus(p=ctx.p, r=c.r, per_color=tuple(per), total=sum(per))
+    per = np.zeros(c.r, dtype=np.int64)
+    np.add.at(per, c.assign, monochromatic_counts(ctx, c.assign))  # by the color of x
+    per = tuple(per.tolist())
+    return QuadrupleCensus(p=ctx.p, r=c.r, per_color=per, total=sum(per))
 
 
 # which two of (y, x+y, xy) each kind asks to lie in A besides x
@@ -209,11 +246,8 @@ def census_triples(ctx: FieldCtx, A, kind: str = "shkredov") -> int:
                          + ", ".join(map(repr, _TRIPLE_KINDS)))
     i, j = _TRIPLE_KINDS[kind]
     mask = indicator(ctx, A).values != 0
-    count = 0
-    for lo, hi, in_add, in_mul in _row_blocks(ctx, mask, mask):
-        in_A = (mask, in_add, in_mul)
-        count += int(np.count_nonzero((in_A[i] & in_A[j])[mask[lo:hi]]))
-    return count
+    return sum(int(np.count_nonzero(X & slots[i] & slots[j]))
+               for _, X, *slots in _pair_walk(ctx, mask, mask, mask, mask))
 
 
 # -- inequality audits -------------------------------------------------------

@@ -4,7 +4,8 @@ Characters follow two conventions used throughout the package:
   * additive: e_p(x) = exp(2*pi*i*x/p),
   * multiplicative: chi_k(g^a) = e(k*a/(p-1)) for the fixed primitive
     root g, extended to the whole field by chi(0) = 1: dlog 0 = 2(p-1) is
-    0 mod p-1 and exceeds dlog x + dlog y for every x, y in F*.
+    0 mod p-1, and it lies past every log of F*, so that the Zech
+    logarithm can name 0 as a row of its own.
 
 All angle bookkeeping is integer arithmetic mod p or mod p-1; complex
 values only appear through precomputed root-of-unity tables, so "is this
@@ -13,6 +14,8 @@ character trivial" questions are exact.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,12 +47,19 @@ def is_primitive_root(g: int, p: int, factors: list[int]) -> bool:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """Immutable context for F_p: primitive root, dlog table, root tables."""
+    """Immutable context for F_p: primitive root, log, power and Zech tables,
+    root tables.
+
+    zech is the Zech logarithm: g^zech[c] = 1 + g^c, so that x + x t =
+    g^(a + zech[c]) for x = g^a, t = g^c.  At t = -1 the sum is 0, and
+    zech[(p-1)/2] = dlog 0 = 2(p-1).
+    """
 
     p: int
     g: int
     dlog: np.ndarray      # length p; dlog[x] = a with g^a = x; dlog[0] = 2(p-1)
     pow_g: np.ndarray     # length p-1; pow_g[a] = g^a mod p
+    zech: np.ndarray      # length p-1; zech[c] = dlog(1 + g^c)
     roots_p: np.ndarray   # exp(2*pi*i*j/p), j = 0..p-1
     roots_pm1: np.ndarray # exp(2*pi*i*j/(p-1)), j = 0..p-2
     _grids: dict = field(default_factory=dict, compare=False, repr=False)
@@ -59,7 +69,7 @@ class FieldCtx:
         """Index grid over (x, y): kind 'add' gives (x+y) mod p, 'mul' x*y mod p.
 
         No fpharmonics code calls this: the counting kernels walk the pair
-        table in row blocks.  It stays only because perfbench builds, wraps
+        table in blocks.  It stays only because perfbench builds, wraps
         and times it.
         """
         if self.p > MAX_GRID_PRIME:
@@ -95,16 +105,21 @@ def new_field(p: int) -> FieldCtx:
     factors = prime_factors(p - 1)
     g = next(c for c in range(2, p) if is_primitive_root(c, p, factors))
 
-    pow_g = np.empty(p - 1, dtype=np.int64)
+    # g^(i s + j) = g^(i s) g^j: s = ceil(sqrt(p-1)) seed powers g^j, then one
+    # int64 product mod p (below p^2 <= 1.1e10) per block i
+    s = math.isqrt(p - 2) + 1
+
+    def powers(base: int) -> list:  # base^0 .. base^(s-1) mod p
+        return list(itertools.accumulate([base] * (s - 1), lambda acc, b: acc * b % p,
+                                         initial=1))
+
+    pow_g = (np.multiply.outer(powers(pow(g, s, p)), powers(g)) % p).ravel()[:p - 1]
     dlog = np.full(p, 2 * (p - 1), dtype=np.int64)
-    acc = 1
-    for a in range(p - 1):
-        pow_g[a] = acc
-        dlog[acc] = a
-        acc = acc * g % p
+    dlog[pow_g] = np.arange(p - 1)
+    zech = dlog[(pow_g + 1) % p]
     roots_p = np.exp(2j * np.pi * np.arange(p) / p)
     roots_pm1 = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
-    return FieldCtx(p=p, g=g, dlog=dlog, pow_g=pow_g,
+    return FieldCtx(p=p, g=g, dlog=dlog, pow_g=pow_g, zech=zech,
                     roots_p=roots_p, roots_pm1=roots_pm1)
 
 

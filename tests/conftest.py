@@ -47,7 +47,7 @@ def oracle_signals(rng):
 @pytest.fixture
 def pair_grids():
     """The full p x p index grids (x+y) % p and x*y % p: the test-side
-    oracle for the row-block counting kernels."""
+    oracle for the pair-walk counting kernels."""
     def make(ctx):
         x = np.arange(ctx.p, dtype=np.int64)
         return (x[:, None] + x) % ctx.p, (x[:, None] * x) % ctx.p

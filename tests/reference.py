@@ -28,6 +28,24 @@ from fpharmonics.qm import TrigPoly
 from fpharmonics.regularity import _fejer_power
 
 
+# the primes at which the pair walk and the field tables are checked against
+# loop and grid oracles; at 521 the walk splits its rows unevenly for both
+# complex and uint8 input, with the row t = -1 inside a block
+ORACLE_PRIMES = (3, 5, 13, 401, 521, 1009)
+
+
+def field_tables_loop(p: int, g: int) -> tuple:
+    """pow_g, dlog and zech of F_p for the primitive root g as lists, from
+    one Python loop over the powers of g; dlog 0 is 2(p-1)."""
+    pow_g, dlog = [0] * (p - 1), [2 * (p - 1)] * p
+    acc = 1
+    for a in range(p - 1):
+        pow_g[a] = acc
+        dlog[acc] = a
+        acc = acc * g % p
+    return pow_g, dlog, [dlog[(x + 1) % p] for x in pow_g]
+
+
 def qm_basis_signal(ctx, r: int, s: int, k: int) -> Signal:
     """The product e_p(r x^2 + s x) * chi_k(x) as a Signal."""
     return Signal(ctx, quad_phase_values(ctx, r, s)

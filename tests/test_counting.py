@@ -15,7 +15,7 @@ from fpharmonics import counting, harmonic
 from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.counting import (TOL, Coloring, HypothesisError,
                                   MarginReport, T,
-                                  T_spectral_sums, T_tilde, _row_blocks,
+                                  T_spectral_sums, T_tilde, _pair_walk,
                                   census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
                                   check_u2times_star_bound, differencing_sup,
@@ -25,6 +25,7 @@ from fpharmonics.field import FieldCtx, cached_field
 from fpharmonics.harmonic import (Signal, add_transform, indicator, ones,
                                   random_signal)
 from fpharmonics.search import fp_coloring_scan
+from reference import ORACLE_PRIMES
 
 
 def test_T_all_ones():
@@ -292,11 +293,9 @@ def test_simple_lemma_random_suite(rng):
         assert check_simple_lemma(fs[0], fs[1], fs[2], s.tolist()).ok()
 
 
-# -- the p x p grid formulas the row-block kernels replaced, kept as oracles --
+# -- the p x p grid formulas the pair walk replaced, kept as oracles --
 
 TRIPLE_KINDS = ("sum", "product", "shkredov")
-# 401: its 401 rows split into blocks of 163, 163 and 75
-ORACLE_PRIMES = (3, 5, 13, 401, 1009)
 
 
 def grid_T(f1, f2, f3, f4, add, mul):
@@ -327,9 +326,23 @@ def assert_close(got, want):
 
 
 def test_oracle_primes_include_an_uneven_block_split():
-    ctx = cached_field(401)
-    v = np.zeros(ctx.p)
-    assert [hi - lo for lo, hi, _, _ in _row_blocks(ctx, v, v)] == [163, 163, 75]
+    """At p = 521 the walk's F* x F* blocks split the 260 rows k of each
+    parity unevenly, for complex and for uint8 input, and the row t = -1
+    (c = 260 = 2k, k = 130), the only one whose sums x + y are all 0, lies
+    inside a block, not at its start.  The last block is the 2p - 1 pairs
+    with x = 0 or y = 0."""
+    p = 521
+    assert p in ORACLE_PRIMES
+    ctx = cached_field(p)
+    for dtype, sizes, at in ((np.complex128, [7] * 37 + [1], (18, 0, 4)),
+                             (np.uint8, [126, 126, 8], (1, 0, 4))):
+        ones = np.ones(p, dtype=dtype)
+        nonzero = (np.arange(p) != 0).astype(dtype)  # v3(x + y) = 0 only at x + y = 0
+        *blocks, edge = _pair_walk(ctx, ones, ones, nonzero, ones)
+        assert [S.shape[-3:] for _, _, _, S, _ in blocks] == [(2, k, p - 1) for k in sizes]
+        assert [(i, int(e), int(k)) for i, (_, _, _, S, _) in enumerate(blocks)
+                for e, k in zip(*np.nonzero(~S.any(axis=-1)))] == [at]
+        assert edge[0] == slice(None) and edge[3].shape == (1, 1, 2 * p - 1)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

@@ -5,6 +5,7 @@ import pytest
 
 from fpharmonics.field import (MultChar, cached_field, mult_char_values,
                                new_field, quad_phase_values)
+from reference import ORACLE_PRIMES, field_tables_loop
 
 
 def test_primitive_root_p7():
@@ -51,10 +52,26 @@ def test_mult_char_fixtures():
 
 @pytest.mark.parametrize("p", [3, 5, 13, 401, 1009])
 def test_log_of_zero_is_zero_mod_p_minus_1_and_above_every_log_sum(p):
-    # chi(0) = 1 and the pair walk's clip to v_mul(0) both rest on this
+    # chi(0) = 1 rests on the first; the second keeps 2(p-1) clear of every
+    # log of F*, so the pair walk reads zech = dlog 0 at t = -1 as a row of
+    # its own
     ctx = cached_field(p)
     assert ctx.dlog[0] % (p - 1) == 0
     assert ctx.dlog[0] > 2 * (p - 2)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES + (100_003,))
+def test_power_log_and_zech_tables_match_the_loop(p):
+    ctx = new_field(p)
+    pow_g, dlog, zech = field_tables_loop(p, ctx.g)
+    assert ctx.pow_g.tolist() == pow_g
+    assert ctx.dlog.tolist() == dlog
+    assert ctx.zech.tolist() == zech
+    # g^zech[c] = 1 + g^c, but for t = g^c = -1 zech is the log of 0
+    half = (p - 1) // 2
+    assert ctx.zech[half] == ctx.dlog[0] == 2 * (p - 1)
+    c = np.flatnonzero(np.arange(p - 1) != half)
+    assert np.array_equal(ctx.pow_g[ctx.zech[c]], (ctx.pow_g[c] + 1) % p)
 
 
 def test_dlog_pow_inverse():
