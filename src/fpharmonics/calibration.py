@@ -33,7 +33,7 @@ import numpy as np
 # Values are MAX OBSERVED on the suite, DOUBLED, then rounded up slightly.
 AUDIT_CONSTANTS = {
     # gvn3: max over suite of max(0, |T|^8 - ||f3||_{u3+}^2) * sqrt(p),
-    # 200 instances, p in {31, 61, 101}, seed 20260823; the suite never
+    # 198 instances (66 per prime), p in {31, 61, 101}, seed 20260823; the suite never
     # produced a positive excess, so this is a fixed floor, not 2x an
     # observed value.
     "gvn3_C": 0.05,
@@ -63,7 +63,8 @@ CALIBRATION_SEED = 20260823
 
 
 def calibrate_gvn3():
-    """Worst observed (|T|^8 - ||f3||_{u3+}^2) * sqrt(p) over 200 instances."""
+    """Worst observed (|T|^8 - ||f3||_{u3+}^2) * sqrt(p) over 198 instances,
+    66 at each of p = 31, 61 and 101."""
     from .counting import T
     from .field import cached_field
     from .harmonic import norm_u3_plus, random_signal

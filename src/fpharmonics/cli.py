@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import TOL
+from .counting import TOL, MarginReport
 from .field import MultChar, cached_field
 from .harmonic import (Signal, add_invert, add_transform, convolve, norm_qm,
                        norm_u2_plus, norm_u2_times, norm_u3_plus,
@@ -81,12 +81,7 @@ def _rng(args) -> np.random.Generator:
 
 
 # -- checked identities, shared by verify and the subcommands ----------------
-
-def _require(ok: bool, message: str) -> None:
-    # a raise, not an assert, so that python -O keeps the check
-    if not ok:
-        raise AssertionError(message)
-
+# each claim is named by the verify key it guards
 
 def _signal(infile, ctx, make) -> Signal:
     """The signal in the --in file, or make() when there is none."""
@@ -99,14 +94,15 @@ def _count_example(ctx) -> tuple:
     f1, f2, f3, f4, expected = phased_character_example(ctx)
     value = T(f1, f2, f3, f4)
     err = abs(value - expected)
-    _require(err < TOL, f"count_example_err {err}: T = {value} != expected {expected}")
+    MarginReport.check("count_example_err", int(not err < TOL), 0,
+                       err=err, T=value, expected=expected)
     return value, expected, err
 
 
 def _roundtrip_err(f: Signal) -> float:
     """max |add_invert(add_transform(f)) - f|."""
     err = float(np.max(np.abs(add_invert(f.ctx, add_transform(f)).values - f.values)))
-    _require(err < 1e-10, f"roundtrip_err {err}: inverse transform is not f")
+    MarginReport.check("roundtrip_err", int(not err < 1e-10), 0, err=err)
     return err
 
 
@@ -114,8 +110,8 @@ def _norm_chain(f: Signal) -> tuple:
     """(u2+, u3+, QM, L1) of f, the first three as NormResults."""
     chain = (norm_u2_plus(f), norm_u3_plus(f), norm_qm(f), f.lp_norm(1))
     values = [n.value for n in chain[:3]] + [chain[3]]
-    _require(all(a <= b + 1e-12 for a, b in zip(values, values[1:])),
-             f"norm_chain {values}: u2+ <= u3+ <= QM <= L1 violated")
+    ok = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+    MarginReport.check("norm_chain", int(not ok), 0, values=values)
     return chain
 
 
@@ -145,9 +141,8 @@ def cmd_transform(args):
     g = random_signal(ctx, rng)
     conv_err = float(np.max(np.abs(
         add_transform(convolve(f, g)) - spec * add_transform(g))))
-    _require(parseval <= TOL and conv_err <= TOL,
-             f"parseval_err {parseval}, convolution_err {conv_err}: "
-             "transform identities out of tolerance")
+    MarginReport.check("parseval_err", parseval, 0.0)
+    MarginReport.check("convolution_err", conv_err, 0.0)
     return {
         "p": args.p,
         "roundtrip_max_err": roundtrip,
@@ -371,14 +366,14 @@ def cmd_verify(args):
     pf = project(atoms, f)
     err = checks["projection_idempotent_err"] = float(
         np.max(np.abs(project(atoms, pf).values - pf.values)))
-    _require(err < TOL, f"projection_idempotent_err {err}: projection not idempotent")
+    MarginReport.check("projection_idempotent_err", int(not err < TOL), 0, err=err)
 
     col = extremal_coloring(2)
     i, value = find_rich_color(col, mode="oracle")
     checks["ramsey_rich_color"] = i
     checks["ramsey_lambda"] = value
-    _require(i == 0 and value == Fraction(1, 16),
-             f"ramsey_lambda {value} in color {i}, not 1/16 in color 0")
+    MarginReport.check("ramsey_rich_color", i, 0)
+    MarginReport.check("ramsey_lambda", abs(value - Fraction(1, 16)), 0, color=i)
 
     checks["p"] = args.p
     checks["seed"] = args.seed

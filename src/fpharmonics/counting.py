@@ -24,8 +24,9 @@ rhs = 0.  It also covers the von Neumann-type bounds here (check_*), the
 Gauss modulus and the Weil, mixed-sum and box-sum budgets (charsums), the
 baby count, the counting integral and the counting lemma (qm), and the
 decomposition, correlation, energy-increment, iteration-budget and
-smooth-box conclusions (regularity).  Only the CLI's identity checks keep
-their own thresholds; its 1e-9 checks read TOL.  A bound is never traded
+smooth-box conclusions (regularity).  The CLI's identity checks are claims
+too, each named by the report key it guards; a strict or sub-TOL threshold
+(err < 1e-10) is the exact claim int(not ok) <= 0.  A bound is never traded
 for speed, but a costly term is skipped where a cheaper one certifies the
 same value: the QM bound's infimum is settled from ||f_i||_1 >= ||f_i||_QM
 whenever that decides it (gvnqm_inf), as the KvN loop skips residual QM
@@ -347,7 +348,8 @@ def check_gvn_bounds(f1: Signal, f2: Signal, f3: Signal, f4: Signal,
         inf, norms = gvnqm_inf((f1, f2, f3, f4))
         C = AUDIT_CONSTANTS["gvnqm_C"]
         return MarginReport.check("gvnQM", lhs, C * inf, **norms, C=C)
-    raise ValueError(which)
+    raise ValueError(f"unknown bound {which!r}: expected one of "
+                     "'u2plus', 'u2times', 'gvn3', 'gvnQM'")
 
 
 def gvnqm_inf(fs) -> tuple:

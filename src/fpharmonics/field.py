@@ -81,7 +81,7 @@ class FieldCtx:
             elif kind == "mul":
                 self._grids[kind] = (idx[:, None] * idx[None, :]) % self.p
             else:
-                raise ValueError(kind)
+                raise ValueError(f"unknown grid kind {kind!r}: expected one of 'add', 'mul'")
         return self._grids[kind]
 
 

@@ -87,7 +87,8 @@ def random_signal(ctx: FieldCtx, rng: np.random.Generator,
         arg = rng.uniform(0.0, 2 * np.pi, size=ctx.p)
         vals = mag * np.exp(1j * arg)
     else:
-        raise ValueError(kind)
+        raise ValueError(f"unknown signal kind {kind!r}: expected one of "
+                         "'gaussian', 'signs', 'bounded'")
     f = Signal(ctx, vals)
     if unit_l2:
         n2 = f.lp_norm(2)

@@ -55,6 +55,7 @@ from .harmonic import Signal, indicator
 
 TRIG_MAX_D = 4
 TRIG_MAX_NORM = 12.0
+# only perfbench reads this (for qm.H_points); ROADMAP item 1 removes it
 H_ENUM_BUDGET = 10**7
 H_SQUARED_BUDGET = 2 * 10**6
 
@@ -313,8 +314,8 @@ def check_bohr_density(psi: QMSystem, eps) -> tuple:
 def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     """(lhs, rhs, margin) for E_x F(Psi(x)) = sum over lattice-constrained
     coefficients, with the rhs cross-checked against the average of F over
-    H_Psi (the product of the orbit means per term, see _average_over_H)
-    when |H| <= H_ENUM_BUDGET.
+    H_Psi (the product of the orbit means per term, see _average_over_H) at
+    every p, for d >= 1: it costs O(2 |G+| + |Gx|) orbit rows, not |H|.
 
     On-lattice terms average to their coefficient exactly; each off-lattice
     term is a single mixed character sum, at most babycount_single_mode /
@@ -326,11 +327,9 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     on = (r1 == 0) & (r2 == 0) & (r3 == 0)
     rhs, off_mass = complex(c @ on), float(np.abs(c) @ ~on)
     if psi.d >= 1:
-        H = enumerate_H(psi)
-        if H.size <= H_ENUM_BUDGET:
-            rhs_enum = _average_over_H(F, H)
-            MarginReport.check("orthogonality mismatch", abs(rhs - rhs_enum), 0.0,
-                               lattice_sum=rhs, H_average=rhs_enum)
+        rhs_enum = _average_over_H(F, enumerate_H(psi))
+        MarginReport.check("orthogonality mismatch", abs(rhs - rhs_enum), 0.0,
+                           lattice_sum=rhs, H_average=rhs_enum)
     margin = abs(lhs - rhs)
     bound = AUDIT_CONSTANTS["babycount_single_mode"] / math.sqrt(psi.ctx.p) * off_mass
     MarginReport.check("baby count single-mode bound", margin, bound, off_mass=off_mass)

@@ -18,10 +18,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fpharmonics
-from fpharmonics import counting
+from fpharmonics import cli, counting
 from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.cli import build_parser, main
+from fpharmonics.counting import MarginReport
 from fpharmonics.field import FieldCtx
+from fpharmonics.harmonic import Signal
+from fpharmonics.ramsey import extremal_coloring
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -189,6 +192,19 @@ def test_ramsey_bad_coloring_file_exits_two(coloring, message, tmp_path, capsys)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "constructive"])
+def test_ramsey_coloring_file_round_trips(mode, tmp_path, capsys):
+    # PairColoring.to_json -> from_json -> find_rich_color, end to end
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(extremal_coloring(2).to_json()))
+    out = tmp_path / "report.json"
+    assert main(["ramsey", "--coloring", str(path), "--mode", mode, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    golden = json.loads(golden_path(["ramsey", "--r", "2"]).read_text())
+    for key in ("classes", "group", "rich_color", "lambda"):
+        assert report[key] == golden[key], key
+
+
 def _signal_file(values, p=5):
     return {"p": p, "values": values + [[0.0, 0.0]] * (p - len(values))}
 
@@ -317,6 +333,50 @@ def test_verify_fails_under_optimize_when_T_is_wrong():
     failed = [line for line in proc.stderr.splitlines()
               if line.startswith("FAILED:")]
     assert len(failed) == 1 and "count_example_err" in failed[0], proc.stderr
+
+
+@pytest.mark.parametrize("argv, claims", [
+    (["verify", "--p", "13", "--seed", "7"],
+     {"count_example_err", "roundtrip_err", "norm_chain", "projection_idempotent_err",
+      "ramsey_rich_color", "ramsey_lambda"}),
+    (["transform", "--p", "13", "--seed", "3"],
+     {"roundtrip_err", "parseval_err", "convolution_err"}),
+], ids=("verify", "transform"))
+def test_one_hook_sees_every_cli_claim(argv, claims, monkeypatch, capsys):
+    # the CLI's identity checks once failed through a second path of their
+    # own, so a hook on MarginReport.check saw none of them
+    names = set()
+    check = MarginReport.check
+
+    def recording(cls, name, *args, **details):
+        names.add(name)
+        return check(name, *args, **details)
+    monkeypatch.setattr(MarginReport, "check", classmethod(recording))
+    assert main(argv) == 0
+    assert claims <= names, claims - names
+    # each claim is named by the report key it guards, in its own or in verify's report
+    verify = ["verify", "--p", "13", "--seed", "7"]
+    keys = {key for a in (argv, verify) for key in json.loads(golden_path(a).read_text())}
+    assert claims <= keys, claims - keys
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_a_roundtrip_error_of_5e_10_fails(command, monkeypatch, capsys):
+    # above the claim's own 1e-10 but below TOL, so a TOL claim would pass it
+    invert = cli.add_invert
+    monkeypatch.setattr(cli, "add_invert",
+                        lambda ctx, spec: Signal(ctx, invert(ctx, spec).values + 5e-10))
+    assert main([command, "--p", "13"]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: roundtrip_err: ")
+
+
+def test_a_norm_chain_violation_of_1e_11_fails(monkeypatch, capsys):
+    # u3+ above QM by 1e-11: over the chain's own 1e-12, but below TOL
+    u3 = cli.norm_u3_plus
+    monkeypatch.setattr(cli, "norm_u3_plus",
+                        lambda f: u3(f)._replace(value=cli.norm_qm(f).value + 1e-11))
+    assert main(["norms", "--p", "13"]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: norm_chain: ")
 
 
 def _subparsers():

@@ -148,6 +148,24 @@ def test_triples_unknown_kind_lists_the_kinds():
         census_triples(cached_field(13), [1, 3], "sums")
 
 
+def _gvn_bound(which):
+    ctx = cached_field(13)
+    f = random_signal(ctx, np.random.default_rng(0), unit_l2=True)
+    return check_gvn_bounds(f, f, f, f, which=which)
+
+
+@pytest.mark.parametrize("call, listed", [
+    (_gvn_bound, "'u2plus', 'u2times', 'gvn3', 'gvnQM'"),
+    (lambda kind: random_signal(cached_field(13), np.random.default_rng(0), kind=kind),
+     "'gaussian', 'signs', 'bounded'"),
+    (lambda kind: cached_field(13).grid(kind), "'add', 'mul'"),
+], ids=("check_gvn_bounds", "random_signal", "grid"))
+def test_an_unknown_choice_lists_the_choices(call, listed):
+    # each once raised ValueError('x'), which named only what was passed
+    with pytest.raises(ValueError, match=f"'x': expected one of {listed}$"):
+        call("x")
+
+
 def test_u2plus_bound_random_suite(rng):
     ctx = cached_field(31)
     for _ in range(50):

@@ -16,12 +16,12 @@ def test_all_green_is_read_from_the_tree():
 
 def test_identical_reports():
     report = {"p": 13, "T": [0.5, -1e-16], "lambda": [1, 16], "ok": True}
-    assert golden_diff.verdict("r", [0, report], [0, dict(report)]) == (["r: identical"], False)
+    assert golden_diff.verdict("r", [0, report, ""], [0, dict(report), ""]) == (["r: identical"], False)
 
 
 def test_float_moves_are_listed_with_the_largest_changes():
     lines, changed = golden_diff.verdict(
-        "count", [0, {"T": [0.25, 2e-16], "p": 13}], [0, {"T": [0.5, 1.5e-16], "p": 13}])
+        "count", [0, {"T": [0.25, 2e-16], "p": 13}, ""], [0, {"T": [0.5, 1.5e-16], "p": 13}, ""])
     assert not changed
     assert lines[0] == ("count: floats moved: 2; largest absolute change 0.25 at .T[0], "
                         "largest relative change 0.5 at .T[0]")
@@ -35,12 +35,17 @@ def test_float_moves_are_listed_with_the_largest_changes():
     ({"mode": "oracle"}, {"mode": "oracle", "x": 1}),  # the keys
 ], ids=("fraction", "witness", "int-to-float", "keys"))
 def test_any_other_change_is_an_error(old, new):
-    lines, changed = golden_diff.verdict("r", [0, old], [0, new])
+    lines, changed = golden_diff.verdict("r", [0, old, ""], [0, new, ""])
     assert changed and lines[0] == "r: CHANGED"
 
 
 def test_a_failed_subcommand_is_an_error():
-    assert golden_diff.verdict("r", [0, {}], [2, None]) == (["r: CHANGED: exit 0 -> 2"], True)
+    # the run's last stderr line says why; once it was dropped
+    assert golden_diff.verdict("r", [0, {}, ""], [2, None, "error: --p 4 is not prime"]) == (
+        ["r: CHANGED: exit 0 -> 2", "  change stderr: error: --p 4 is not prime"], True)
+    assert golden_diff.verdict("r", [1, None, "FAILED: norm_chain: lhs 1 > rhs 0"],
+                               [0, {}, ""]) == (
+        ["r: CHANGED: exit 1 -> 0", "  parent stderr: FAILED: norm_chain: lhs 1 > rhs 0"], True)
 
 
 def test_usage_error_exits_two(tmp_path, capsys):

@@ -119,15 +119,15 @@ def raise_sites(tree, where=""):
 
 
 def test_one_claim_path():
-    # a library claim fails only through MarginReport.check, so one hook sees
-    # every check; the CLI's _require keeps its own identity thresholds
+    # a claim, in the library or the CLI, fails only through
+    # MarginReport.check, so one hook sees every check the program makes
     source = "class A:\n def f(self):\n  raise X('x')\ndef g():\n raise Y\n"
     assert raise_sites(ast.parse(source)) == [("A.f", "X"), ("g", "Y")]
     sites = [(path.name, where, exc) for path in sorted(PACKAGE_DIR.glob("*.py"))
              for where, exc in raise_sites(ast.parse(path.read_text()))]
     assert [site for site in sites if site[2] == "RuntimeError"] == []
     assert [site[:2] for site in sites if site[2] == "AssertionError"] == [
-        ("cli.py", "_require"), ("counting.py", "MarginReport.check")]
+        ("counting.py", "MarginReport.check")]
 
 
 # -- no public name that only tests reach -----------------------------------------

@@ -344,6 +344,18 @@ def test_cross_checks_fire_when_the_lattice_test_lies(monkeypatch):
         counting_integral_I(system(5, [(1, 1)]), F, cross_check=True)
 
 
+def test_baby_count_cross_checks_the_H_average_at_every_p(monkeypatch):
+    # the H average costs O(p), but a budget on |H| = p^2 (p - 1) once
+    # skipped it from p = 223 on (|H| = 11,039,838), so a wrong average passed
+    psi = system(223, [(1, 1)])
+    F = TrigPoly(1, {((1,), (0,), (0,)): 1.0, ((0,), (0,), (0,)): 0.5})
+    assert enumerate_H(psi).size == 223**2 * 222
+    baby_count(psi, F)
+    monkeypatch.setattr("fpharmonics.qm._average_over_H", lambda F, H: 1.0)
+    with pytest.raises(AssertionError, match="^orthogonality mismatch: "):
+        baby_count(psi, F)
+
+
 # -- the meshgrid evaluation: oracle for the phase-table evaluators ----------
 
 def trig_eval_batch(F, p, TH1, TH2, V):

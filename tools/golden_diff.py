@@ -13,7 +13,8 @@ three verdicts is printed:
                  value, and the largest absolute and relative change;
   CHANGED        an int, string, bool or null changed (so a Fraction, which
                  reports write as [num, den], or a witness), or the
-                 report's shape did, or the subcommand failed in a tree.
+                 report's shape did, or the subcommand failed in a tree;
+                 the last stderr line of each tree's run is printed under it.
 
 Exit 0 when no report is CHANGED, 1 otherwise, 2 on a usage error.
 """
@@ -30,7 +31,8 @@ from pathlib import Path
 
 SHOWN_MOVES = 20  # moved float paths printed per report
 
-# run in each tree: argv lists in, {" ".join(argv): [exit code, report]} out
+# run in each tree: argv lists in,
+# {" ".join(argv): [exit code, report, last stderr line]} out
 _CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -38,10 +40,11 @@ from fpharmonics.cli import main
 argvs, out = json.loads(sys.argv[1]), Path(sys.argv[2])
 runs = {}
 for i, argv in enumerate(argvs):
-    path = out.with_suffix(f".{i}.json")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    path, err = out.with_suffix(f".{i}.json"), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv + ["--out", str(path)])
-    runs[" ".join(argv)] = [code, json.loads(path.read_text()) if code == 0 else None]
+    runs[" ".join(argv)] = [code, json.loads(path.read_text()) if code == 0 else None,
+                            (err.getvalue().splitlines() or [""])[-1]]
 out.write_text(json.dumps(runs))
 """
 
@@ -58,8 +61,8 @@ def all_green(tree: Path) -> list:
 
 
 def run_reports(tree: Path, argvs: list, out: Path) -> dict:
-    """{name: [exit code, report or None]} for every argv, run in tree;
-    the reports are written next to out."""
+    """{name: [exit code, report or None, last stderr line]} for every
+    argv, run in tree; the reports are written next to out."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs), str(out)],
                    cwd=tree, env=env, check=True)
@@ -92,12 +95,14 @@ def diff(old, new, path="") -> tuple:
 
 def verdict(name: str, old_run, new_run) -> tuple:
     """(lines to print for one report, whether it is CHANGED)."""
-    (old_code, old), (new_code, new) = old_run, new_run
+    (old_code, old, old_err), (new_code, new, new_err) = old_run, new_run
+    stderr = [f"  {tree} stderr: {err}"
+              for tree, err in (("parent", old_err), ("change", new_err)) if err]
     if old_code or new_code:
-        return [f"{name}: CHANGED: exit {old_code} -> {new_code}"], True
+        return [f"{name}: CHANGED: exit {old_code} -> {new_code}"] + stderr, True
     moves, changes = diff(old, new)
     if changes:
-        return [f"{name}: CHANGED"] + [f"  {c}" for c in changes], True
+        return [f"{name}: CHANGED"] + [f"  {c}" for c in changes] + stderr, True
     if not moves:
         return [f"{name}: identical"], False
     absd = [(abs(b - a), p) for p, a, b in moves]
