@@ -10,7 +10,10 @@ F x F once (_pair_walk): they run at any table prime in O(p^2) time and
 hold no p x p array.  F* x F* is walked in discrete-log coordinates,
 where every slot is a window or a row copy of a dlog-ordered table, and
 row x = 0 with column y = 0 is one block of 2p - 1 pairs.  T_tilde drops
-that block's pairs by zeroing g1(0) and g2(0).
+that block's pairs by zeroing g1(0) and g2(0).  A constant fourth slot
+skips the walk: T(f1, f2, f3, c) = c E_s f3(s) (f1 * f2)(s) is one direct
+O(p^2) convolution summed against f3, with no Fourier transform, so
+T(., ., ., 1) stays an independent check on T_spectral_sums.
 
 Audit policy.  Every claim the library checks, float or exact, goes through
 MarginReport.check(name, lhs, rhs, **details): it records lhs <= rhs with
@@ -104,7 +107,20 @@ def _pair_walk(ctx: FieldCtx, v1, v2, v3, v4):
 
 
 def _pair_sum(ctx: FieldCtx, v1, v2, v3, v4) -> complex:
-    """sum_{x, y in F} v1(x) v2(y) v3(x+y) v4(xy)."""
+    """sum_{x, y in F} v1(x) v2(y) v3(x+y) v4(xy), for length-p arrays.
+
+    A constant v4 leaves v4(0) v1^T H v2, with H[x, y] = v3(x+y) a Hankel
+    matrix.  H is constant on each antidiagonal x + y = s, so the form is
+    summed by antidiagonals: v4(0) sum_s v3(s) (v1 * v2)(s), where v1 * v2
+    is np.convolve's direct O(p^2) linear convolution (2p - 1 lags, no
+    Fourier transform) with lag s + p folded onto s.  Every other v4 takes
+    the pair walk, two in-place multiplies and one matrix-vector product a
+    block.
+    """
+    if v4[-1] == v4[0] and (v4 == v4[0]).all():  # one scalar test turns most other v4 away
+        conv = np.convolve(v1, v2)
+        conv[:ctx.p - 1] += conv[ctx.p:]
+        return v4[0] * (conv[:ctx.p] @ v3)
     total = 0
     for _, X, Y, S, M in _pair_walk(ctx, v1, v2, v3, v4):
         S *= Y
@@ -114,7 +130,9 @@ def _pair_sum(ctx: FieldCtx, v1, v2, v3, v4) -> complex:
 
 
 def T(f1: Signal, f2: Signal, f3: Signal, f4: Signal) -> complex:
-    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation."""
+    """E_{x,y} f1(x) f2(y) f3(x+y) f4(xy), direct O(p^2) evaluation: the
+    pair walk, or for a constant f4 (the u2+ form T(f1, f2, f3, 1)) one
+    direct convolution of f1 and f2 summed against f3 (_pair_sum)."""
     ctx = require_same_ctx(f1, f2, f3, f4)
     return complex(_pair_sum(ctx, *(f.values for f in (f1, f2, f3, f4))) / ctx.p**2)
 
@@ -129,7 +147,7 @@ def T_spectral_sums(f1: Signal, f2: Signal, f3: Signal) -> complex:
 
 
 def T_tilde(g1: Signal, g2: Signal, g4: Signal) -> complex:
-    """E_{x,y in F*} g1(x) g2(y) g4(xy): the pair walk with g1(0) = g2(0) = 0."""
+    """E_{x,y in F*} g1(x) g2(y) g4(xy): _pair_sum with g1(0) = g2(0) = 0."""
     ctx = require_same_ctx(g1, g2, g4)
     v1, v2 = (np.concatenate(([0], g.values[1:])) for g in (g1, g2))
     total = _pair_sum(ctx, v1, v2, np.ones(ctx.p), g4.values)
@@ -208,9 +226,12 @@ class QuadrupleCensus:
 
 def monochromatic_counts(ctx: FieldCtx, assign) -> np.ndarray:
     """Per-x counts [..., x] of the y in F with x, y, x+y, xy all of one
-    color, for a (..., p) stack of total colorings of F_p."""
-    a = np.asarray(assign)
-    c = a.astype(np.promote_types(np.min_scalar_type(a.min()), np.min_scalar_type(a.max())))
+    color, for a (..., p) stack of total colorings of F_p.  Colors of an
+    unsigned dtype are walked as they are; others are first narrowed to the
+    least dtype that holds their range."""
+    c = np.asarray(assign)
+    if c.dtype.kind != "u":
+        c = c.astype(np.promote_types(np.min_scalar_type(c.min()), np.min_scalar_type(c.max())))
     p = ctx.p
     counts = np.zeros(c.shape[:-1] + (2 * p - 1,), dtype=np.int64)  # per column of the walk
     for cols, X, Y, S, M in _pair_walk(ctx, c, c, c, c):
@@ -230,7 +251,8 @@ def census_quadruples(ctx: FieldCtx, c: Coloring) -> QuadrupleCensus:
     if c.r > ctx.p:
         raise ValueError(f"{c.r} colors on F_{ctx.p}: at most p classes can be used")
     per = np.zeros(c.r, dtype=np.int64)
-    np.add.at(per, c.assign, monochromatic_counts(ctx, c.assign))  # by the color of x
+    narrow = c.assign.astype(np.min_scalar_type(c.r - 1))  # colors are range-checked in 0..r-1
+    np.add.at(per, narrow, monochromatic_counts(ctx, narrow))  # by the color of x
     per = tuple(per.tolist())
     return QuadrupleCensus(p=ctx.p, r=c.r, per_color=per, total=sum(per))
 

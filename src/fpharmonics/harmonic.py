@@ -21,6 +21,7 @@ frequency r and the character index k.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,9 +70,17 @@ def ones(ctx: FieldCtx) -> Signal:
 
 
 def indicator(ctx: FieldCtx, subset) -> Signal:
+    """1_S for S any iterable of integers (negative or numpy ones too),
+    taken mod p; S may be empty.  A non-integer member is a ValueError."""
+    items = list(subset)
+    members = np.array(items)
+    if members.ndim != 1 or members.dtype.kind not in "iu":  # empty, nested, bool, float or beyond int64
+        try:
+            members = np.array([operator.index(x) % ctx.p for x in items], dtype=np.int64)
+        except TypeError as exc:
+            raise ValueError(f"subset members must be integers: {exc}") from None
     vals = np.zeros(ctx.p, dtype=np.complex128)
-    for x in subset:
-        vals[x % ctx.p] = 1.0
+    vals[members % ctx.p] = 1.0
     return Signal(ctx, vals)
 
 

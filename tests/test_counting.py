@@ -364,14 +364,29 @@ def test_oracle_primes_include_an_uneven_block_split():
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-def test_T_and_T_tilde_match_grid_oracle(p, oracle_signals, pair_grids):
+def test_T_and_T_tilde_match_grid_oracle(p, oracle_signals, pair_grids, monkeypatch):
+    """Every input against the grid; a constant fourth slot (1 or 2 - 3j)
+    takes the convolution and no walk, a constant third slot the walk."""
     ctx = cached_field(p)
     add, mul = pair_grids(ctx)
     sigs = oracle_signals(ctx)
+    walks = []
+    monkeypatch.setattr(counting, "_pair_walk", lambda *a: walks.append(a) or _pair_walk(*a))
+    constants = (ones(ctx), Signal(ctx, np.full(p, 2 - 3j)))
     for i in range(len(sigs)):
         f1, f2, f3, f4 = (sigs[(i + k) % len(sigs)] for k in range(4))
         assert_close(T(f1, f2, f3, f4), grid_T(f1, f2, f3, f4, add, mul))
         assert_close(T_tilde(f1, f2, f4), grid_T_tilde(f1, f2, f4, mul))
+        assert len(walks) == 2 * (i + 1)
+        for c in constants:
+            got = T(f1, f2, f3, c)
+            assert_close(got, grid_T(f1, f2, f3, c, add, mul))
+            want = c.values[0] * T_spectral_sums(f1, f2, f3)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        assert len(walks) == 2 * (i + 1)
+    f1, f2, f4 = sigs[:3]
+    assert_close(T(f1, f2, constants[1], f4), grid_T(f1, f2, constants[1], f4, add, mul))
+    assert len(walks) == 2 * len(sigs) + 1
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -380,8 +395,9 @@ def test_censuses_match_grid_oracle(p, rng, pair_grids):
     add, mul = pair_grids(ctx)
     colorings = {r: rng.integers(0, r, p) for r in (1, 2, 3, p)}
     stack = np.array(list(colorings.values()))
-    assert np.array_equal(monochromatic_counts(ctx, stack),
-                          [grid_monochromatic_counts(c, add, mul) for c in stack])
+    want = [grid_monochromatic_counts(c, add, mul) for c in stack]
+    assert np.array_equal(monochromatic_counts(ctx, stack), want)
+    assert np.array_equal(monochromatic_counts(ctx, stack.astype(np.uint64)), want)
     for r, c in colorings.items():
         want = grid_monochromatic_counts(c, add, mul)
         assert np.array_equal(monochromatic_counts(ctx, c), want)
@@ -411,6 +427,7 @@ def test_counting_kernels_build_no_grid(monkeypatch, oracle_signals, rng):
     f1, f2, f3, f4 = oracle_signals(ctx)[:4]
     c = rng.integers(0, 3, 13)
     T(f1, f2, f3, f4)
+    T(f1, f2, f3, ones(ctx))
     T_tilde(f1, f2, f4)
     monochromatic_counts(ctx, c)
     census_quadruples(ctx, Coloring(13, 3, c))
@@ -426,7 +443,7 @@ def test_census_and_T_at_p2039_stay_small():
         import numpy as np
         from fpharmonics.counting import Coloring, T, census_quadruples
         from fpharmonics.field import new_field
-        from fpharmonics.harmonic import random_signal
+        from fpharmonics.harmonic import ones, random_signal
         ctx = new_field(2039)
         rng = np.random.default_rng(0)
         fs = [random_signal(ctx, rng) for _ in range(4)]
@@ -434,6 +451,7 @@ def test_census_and_T_at_p2039_stay_small():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         census_quadruples(ctx, coloring)
         T(*fs)
+        T(*fs[:3], ones(ctx))
         print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     """)
     src = Path(fpharmonics.__file__).resolve().parent.parent

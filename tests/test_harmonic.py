@@ -26,6 +26,23 @@ def test_delta_transform():
     assert np.allclose(spec, 1 / 7)
 
 
+def test_indicator_takes_any_iterable_of_integers_mod_p():
+    ctx = cached_field(13)
+    want = np.zeros(13)
+    want[[0, 3, 12]] = 1
+    for subset in ([0, 3, 12], [-1, 16, 13], (x for x in (3, -13, 25)),
+                   {np.int64(3), np.uint8(12), 26}, [3, 13 * 10**30 + 3, 12, 0, 3]):
+        assert np.array_equal(indicator(ctx, subset).values, want), subset
+    assert not indicator(ctx, []).values.any()
+    assert not indicator(ctx, iter(())).values.any()
+
+
+@pytest.mark.parametrize("subset", [[1.0], [2, 3.5], np.array([0.0, 1.0]), ["1"], [[1, 2]]])
+def test_indicator_rejects_non_integer_members(subset):
+    with pytest.raises(ValueError, match="must be integers"):
+        indicator(cached_field(13), subset)
+
+
 def test_ones_transform():
     ctx = cached_field(11)
     spec = add_transform(ones(ctx))
