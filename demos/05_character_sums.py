@@ -4,8 +4,8 @@ These exponential-sum estimates are the number-theoretic input to every
 equidistribution statement in the package: complete quadratic Gauss
 sums have modulus exactly sqrt(p); products of multiplicative
 characters at shifted arguments obey the Weil bound (t-1) sqrt(p) + t;
-and mixed quadratic-times-multiplicative sums decay like a calibrated
-multiple of p^{-1/16} (far faster in practice).
+and mixed quadratic-times-multiplicative sums obey Weil's bound for
+mixed sums, (3 sqrt(p) + 2)/p as an average.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ s, bound = weil_product_sum(ctx, chis, shifts)
 print(f"\nWeil product sum, t = 3 characters at distinct shifts:")
 print(f"  |sum| = {abs(s):.4f} <= (t-1) sqrt(p) + t = {bound:.4f}")
 
-val, mag = mixed_sum(ctx, 1, 2, MultChar(1), MultChar(2), 3)
+mixed = mixed_sum(ctx, 1, 2, MultChar(1), MultChar(2), 3)
 print(f"\nmixed sum E_x e_p(x^2 + 2x) chi_1(x) chi_2(x+3):")
-print(f"  magnitude = {mag:.6f} (scale p^(-1/2) = {p ** -0.5:.6f})")
+print(f"  |E| = {mixed.lhs:.6f} <= (3 sqrt(p) + 2)/p = {mixed.rhs:.6f}")
 
 box = u3_box_sum(ctx, MultChar(1), MultChar(2), 1)
 budget = 7 / math.sqrt(p) + 34 / p

@@ -1,25 +1,39 @@
 """Audit constants for error terms the source bounds state only as O(.).
 
-Every constant here is an implementation-calibrated stand-in, never a
-claim about sharp values: each was obtained by running the fixed seeded
-suite below, recording the worst observed ratio, and doubling it.  Each
-calibrate_* function re-runs one suite exactly as it was fixed (primes,
-sizes and seed are part of the protocol, not parameters) and returns its
-worst ratio; the tests hold each constant to at least twice that value.
-`fpharmonics verify` does not re-run them.
+Each constant, and the budget mixed_sum writes inline, is derived (a
+standard theorem gives it), fixed (chosen) or calibrated; each entry names
+the p at which its claim can fail, as a bound at or above the claim's
+trivial ceiling cannot:
+  * babycount_single_mode = 6 (derived): a single mode of baby_count is a
+    mixed character sum, at most (2 sqrt(p) + 2)/p <= 6/sqrt(p) by Weil.
+    Can fail from p = 37, where 6/sqrt(p) drops below 1.
+  * u3box_weil = 7 and u3box_degenerate = 34 (derived): u3_box_sum's budget
+    7/sqrt(p) + 34/p (t - 1 at t = 8; 26 degenerate shift planes + 8
+    chi(0) = 1 defects) exceeds 1 >= ||F||_{U^3}^8 for p <= 103, so it
+    cannot fail at any p <= 61 that u3_box_sum admits.
+  * lipschitz_c = 6*pi (derived): |F(w) - F(v)| <= 2*pi*(3/R) per atom for
+    F = e(theta1 + theta2') z1 gives KvN's witness floor
+    delta - lipschitz_c max(1, ||f||_1)/R, which can fail at any p but only
+    when it is positive, so not at the CLI's R = 32, delta = 0.3.
+  * mixed_sum's (3 sqrt(p) + 2)/p, inline (derived): Weil's bound for mixed
+    sums plus two chi(0) = 1 points.  Can fail from p = 13, where it is < 1.
+  * kvn_budget_c = 4 (fixed): KvN runs at most ceil(4 r/delta^2) iterations;
+    the energy is at most r, but no gain of delta^2/4 a step is certified,
+    so it can fail at any p.
+  * gvn3_C = 0.05 (calibrated): |T|^8 <= ||f3||_{u3+}^2 + gvn3_C/sqrt(p).
+    Can fail at any p.
+  * gvnqm_C = 2 (calibrated): |T| <= gvnqm_C inf_i max(p^(-1/64), ...) has
+    a right side of at least 2 p^(-1/64) > 1 >= |T| for p < 2^64, so it is
+    vacuous at every table prime.
+  * countlemma_C1 = countlemma_C2 = 0.1202 (calibrated): the counting
+    lemma's budget.  Can fail at any p.
 
-Fixed (non-calibrated) entries:
-  * babycount_single_mode = 6: single off-lattice mode error |E_x F(Psi(x))|
-    is at most 6/sqrt(p); baby_count asserts its margin within 6/sqrt(p)
-    times the coefficient mass of the off-lattice terms.  Derived from the
-    Weil bound: a single mode is a mixed quadratic-multiplicative character
-    sum of magnitude at most (2 sqrt(p) + 2)/p <= 6/sqrt(p) for every p >= 3.
-  * u3box_weil = 7.0 and u3box_degenerate = 34.0: derived budgets for the
-    eight-fold correlation (7 = t-1 at t = 8; 34 = 26 degenerate shift
-    planes + 8 for the chi(0) = 1 convention defects).
-  * lipschitz_c = 6*pi: the witness floor that each KvN step's correlating
-    projection asserts uses |F(w) - F(v)| <= 2*pi*(3/R) per atom for
-    F = e(theta1 + theta2') z1.
+A calibrated constant is the worst ratio observed on a fixed seeded suite
+(seed 20260823), doubled.  Each calibrate_* function re-runs its suite
+exactly as it was fixed (primes, sizes and seed are part of the protocol,
+not parameters) and returns its worst ratio; the tests hold each constant
+to at least twice that value.  `fpharmonics verify` does not re-run them.
+None of these constants is a claim about sharp values.
 """
 
 from __future__ import annotations
@@ -29,8 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# Calibration protocol: seed 20260823, suites described per constant below.
-# Values are MAX OBSERVED on the suite, DOUBLED, then rounded up slightly.
+# the calibration suites, described per constant: the worst value observed,
+# doubled, then rounded up slightly
 AUDIT_CONSTANTS = {
     # gvn3: max over suite of max(0, |T|^8 - ||f3||_{u3+}^2) * sqrt(p),
     # 198 instances (66 per prime), p in {31, 61, 101}, seed 20260823; the suite never
@@ -47,15 +61,11 @@ AUDIT_CONSTANTS = {
     # observed ratio 0.06007 (p = 5, d = 1, eps = 1/2), doubled.
     "countlemma_C1": 0.1202,
     "countlemma_C2": 0.1202,
-    # mixed quadratic x multiplicative sums: max observed magnitude * p^{1/16},
-    # 300 draws over p in {31, 61, 101}, seed 20260823: worst 0.4377, doubled.
-    "mixed_sum_c": 0.88,
-    # derived constants (see module docstring)
+    # derived and fixed constants (see module docstring)
     "babycount_single_mode": 6.0,
     "u3box_weil": 7.0,
     "u3box_degenerate": 34.0,
     "lipschitz_c": 6 * math.pi,
-    # KvN loop: iteration budget ceil(kvn_budget_c * r / delta^2)
     "kvn_budget_c": 4.0,
 }
 
@@ -104,28 +114,6 @@ def calibrate_gvnqm():
         for _ in range(120 // 3):
             fs = [random_signal(ctx, rng, kind="bounded") for _ in range(4)]
             worst = max(worst, ratio(fs))
-    return worst
-
-
-def calibrate_mixed_sum():
-    """Worst observed |E_x e_p(ax^2+bx) chi(x) chi'(x+h)| * p^{1/16} over
-    300 draws."""
-    from .charsums import mixed_sum
-    from .field import MultChar, cached_field
-    rng = np.random.default_rng(CALIBRATION_SEED)
-    worst = 0.0
-    for p in (31, 61, 101):
-        ctx = cached_field(p)
-        for _ in range(300 // 3):
-            a = int(rng.integers(0, p))
-            b = int(rng.integers(0, p))
-            k = int(rng.integers(0, p - 1))
-            k2 = int(rng.integers(0, p - 1))
-            h = int(rng.integers(1, p))
-            if a == 0 and b == 0 and k == 0 and k2 == 0:
-                a = 1
-            _, mag = mixed_sum(ctx, a, b, MultChar(k), MultChar(k2), h)
-            worst = max(worst, mag * p**(1 / 16))
     return worst
 
 

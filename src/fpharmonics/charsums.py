@@ -20,6 +20,11 @@ from .field import FieldCtx, MultChar, mult_char_values, quad_phase_values
 from .harmonic import difference_spectrum
 
 
+def _shifted(ctx: FieldCtx, chi: MultChar, h: int) -> np.ndarray:
+    """chi(x + h) for x = 0..p-1."""
+    return np.roll(mult_char_values(ctx, chi), -h)
+
+
 def gauss_sum(ctx: FieldCtx, a: int, b: int) -> complex:
     """sum_x e_p(a x^2 + b x); modulus sqrt(p) for a != 0, 0 for a=0 b!=0,
     p for a=b=0 (asserted within counting.TOL)."""
@@ -57,10 +62,9 @@ def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
         raise ValueError("shifts must be distinct")
     if all(chi.is_principal() for chi in chis):
         raise ValueError("at least one chi must be nonprincipal")
-    x = np.arange(p, dtype=np.int64)
     prod = np.ones(p, dtype=np.complex128)
     for chi, h in zip(chis, hs):
-        prod *= mult_char_values(ctx, chi)[(x + h) % p]
+        prod *= _shifted(ctx, chi, h)
     s = complex(np.sum(prod))
     bound = (t - 1) * math.sqrt(p) + t
     MarginReport.check("Weil bound", abs(s), bound, sum=s)
@@ -68,11 +72,21 @@ def weil_product_sum(ctx: FieldCtx, chis: Sequence[MultChar],
 
 
 def mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar, chi_prime: MultChar,
-              h: int) -> tuple:
-    """(E_x e_p(a x^2 + b x) chi(x) chi'(x+h), magnitude).
+              h: int) -> MarginReport:
+    """The report for |E| <= (3 sqrt(p) + 2)/p, the bound asserted, where
+    E = E_x e_p(a x^2 + b x) chi(x) chi'(x+h) is its detail "sum".  Requires
+    h != 0; rejects a = b = 0 with both characters principal (E = 1).
 
-    h != 0 and the fully degenerate input (a = b = 0 with both characters
-    principal) is rejected.  The audited budget is c * p^{-1/16}.
+    Over x != 0, -h, Weil's bound for mixed sums (for instance Castro-Moreno,
+    Proc. AMS 128, 2000) is (deg f + m - 1) sqrt(p) = 3 sqrt(p) for
+    f = ax^2 + bx and the m = 2 roots of x(x + h), when f is nonconstant or
+    the characters nontrivial; x = 0 and x = -h, where chi(0) = 1, add 1
+    each.  Degenerate cases: a = 0 lowers deg f, so the bound.  A principal
+    character is the constant 1 and lowers m: two leave a Gauss sum, of
+    modulus sqrt(p) or 0, and one at a = b = 0 leaves sum_y chi'(y) = 1.
+    chi' = conj(chi) is the character of x/(x+h), which is no power; at
+    a = b = 0, x -> x/(x+h) maps F minus {0, -h} onto F minus {0, 1}, so
+    the sum there is -1 and |pE| <= 3.
     """
     p = ctx.p
     a, b, h = a % p, b % p, h % p
@@ -80,20 +94,9 @@ def mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar, chi_prime: MultChar,
         raise ValueError("need h != 0")
     if a == 0 and b == 0 and chi.is_principal() and chi_prime.is_principal():
         raise ValueError("degenerate input: trivial phase and characters")
-    x = np.arange(p, dtype=np.int64)
-    vals = (quad_phase_values(ctx, a, b)
-            * mult_char_values(ctx, chi)
-            * mult_char_values(ctx, chi_prime)[(x + h) % p])
-    s = complex(np.mean(vals))
-    return s, abs(s)
-
-
-def check_mixed_sum(ctx: FieldCtx, a: int, b: int, chi: MultChar,
-                    chi_prime: MultChar, h: int):
-    """mixed_sum plus the audited-budget assertion."""
-    s, mag = mixed_sum(ctx, a, b, chi, chi_prime, h)
-    c = AUDIT_CONSTANTS["mixed_sum_c"]
-    return MarginReport.check("mixed_sum", mag, c * ctx.p ** (-1 / 16), sum=s, c=c)
+    s = complex(np.mean(quad_phase_values(ctx, a, b) * mult_char_values(ctx, chi)
+                        * _shifted(ctx, chi_prime, h)))
+    return MarginReport.check("mixed_sum", abs(s), (3 * math.sqrt(p) + 2) / p, sum=s)
 
 
 def u3_box_sum(ctx: FieldCtx, chi: MultChar, chi_prime: MultChar, h: int) -> float:
@@ -111,8 +114,7 @@ def u3_box_sum(ctx: FieldCtx, chi: MultChar, chi_prime: MultChar, h: int) -> flo
         raise ValueError("need h != 0")
     if p > 61:
         raise ValueError(f"p={p} above the u3_box_sum cap of 61")
-    x = np.arange(p, dtype=np.int64)
-    base = mult_char_values(ctx, chi) * mult_char_values(ctx, chi_prime)[(x + h) % p]
+    base = mult_char_values(ctx, chi) * _shifted(ctx, chi_prime, h)
     val = float(np.mean(np.sum(difference_spectrum(base) ** 2, axis=1)))
     budget = (AUDIT_CONSTANTS["u3box_weil"] / math.sqrt(p)
               + AUDIT_CONSTANTS["u3box_degenerate"] / p)

@@ -291,7 +291,7 @@ def cmd_drc(args):
 
 
 def cmd_charsum(args):
-    from .charsums import check_mixed_sum, gauss_sum, weil_product_sum
+    from .charsums import gauss_sum, mixed_sum, weil_product_sum
     ctx = cached_field(args.p)
     rng = _rng(args)
     a = int(rng.integers(1, args.p))
@@ -302,8 +302,7 @@ def cmd_charsum(args):
         chis[0] = MultChar(1)
     shifts = list(rng.choice(args.p, size=3, replace=False))
     w, bound = weil_product_sum(ctx, chis, [int(s) for s in shifts])
-    rep = check_mixed_sum(ctx, a, b, chis[0], chis[1],
-                          int(rng.integers(1, args.p)))
+    rep = mixed_sum(ctx, a, b, chis[0], chis[1], int(rng.integers(1, args.p)))
     return {
         "p": args.p,
         "gauss": {"a": a, "b": b, "value": g, "modulus": abs(g)},

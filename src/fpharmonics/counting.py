@@ -307,15 +307,6 @@ class MarginReport:
                 "details": {k: v for k, v in self.details.items()}}
 
 
-class HypothesisError(ValueError):
-    """A checked precondition (a norm hypothesis) failed."""
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise HypothesisError(msg)
-
-
 # Audit constants for the O(.) error terms the source bounds leave implicit.
 # Calibrated on fixed seeded suites (see calibration.py), then doubled;
 # reported as artifacts of this implementation, never as sharp constants.
@@ -341,7 +332,8 @@ def check_gvn_bounds(f1: Signal, f2: Signal, f3: Signal, f4: Signal,
     p = ctx.p
     if which == "u2plus":
         for i, f in enumerate((f1, f2, f3), 1):
-            _require(f.lp_norm(2) <= 1 + TOL, f"||f{i}||_2 > 1")
+            if not f.lp_norm(2) <= 1 + TOL:
+                raise ValueError(f"||f{i}||_2 > 1")
         lhs = abs(T(f1, f2, f3, Signal(ctx, np.ones(p))))
         norms = [norm_u2_plus(f).value for f in (f1, f2, f3)]
         return MarginReport.check("u2plus", lhs, min(norms), norms_u2plus=norms)
@@ -349,23 +341,28 @@ def check_gvn_bounds(f1: Signal, f2: Signal, f3: Signal, f4: Signal,
         gs = (f1, f2, f4)
         K = max(g.linf_norm() for g in gs)
         for i, g in zip((1, 2, 4), gs):
-            _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
+            if not g.lp_norm(2) <= 1 + TOL:
+                raise ValueError(f"||g{i}||_2 > 1")
         lhs = abs(T(f1, f2, Signal(ctx, np.ones(p)), f4))
         norms = [norm_u2_times(g).value for g in gs]
         rhs = min(norms) + 4 * K**3 / p
         return MarginReport.check("u2times", lhs, rhs, norms_u2times=norms, K=K)
     if which == "gvn3":
         for i, f in zip((1, 2, 4), (f1, f2, f4)):
-            _require(f.linf_norm() <= 1 + TOL, f"||f{i}||_inf > 1")
-        _require(f3.lp_norm(2) <= 1 + TOL, "||f3||_2 > 1")
-        _require(f3.linf_norm() <= p**(1 / 16) + TOL, "||f3||_inf > p^(1/16)")
+            if not f.linf_norm() <= 1 + TOL:
+                raise ValueError(f"||f{i}||_inf > 1")
+        if not f3.lp_norm(2) <= 1 + TOL:
+            raise ValueError("||f3||_2 > 1")
+        if not f3.linf_norm() <= p**(1 / 16) + TOL:
+            raise ValueError("||f3||_inf > p^(1/16)")
         lhs = abs(T(f1, f2, f3, f4))**8
         u3 = norm_u3_plus(f3).value
         C = AUDIT_CONSTANTS["gvn3_C"]
         return MarginReport.check("gvn3", lhs, u3**2 + C / np.sqrt(p), u3plus_f3=u3, C=C)
     if which == "gvnQM":
         for i, f in enumerate((f1, f2, f3, f4), 1):
-            _require(f.linf_norm() <= 1 + TOL, f"||f{i}||_inf > 1")
+            if not f.linf_norm() <= 1 + TOL:
+                raise ValueError(f"||f{i}||_inf > 1")
         lhs = abs(T(f1, f2, f3, f4))
         inf, norms = gvnqm_inf((f1, f2, f3, f4))
         C = AUDIT_CONSTANTS["gvnqm_C"]
@@ -399,7 +396,8 @@ def check_u2times_star_bound(g1: Signal, g2: Signal, g4: Signal) -> MarginReport
     ctx = require_same_ctx(g1, g2, g4)
     p = ctx.p
     for i, g in zip((1, 2, 4), (g1, g2, g4)):
-        _require(g.lp_norm(2) <= 1 + TOL, f"||g{i}||_2 > 1")
+        if not g.lp_norm(2) <= 1 + TOL:
+            raise ValueError(f"||g{i}||_2 > 1")
     lhs = abs(T_tilde(g1, g2, g4))
     # |E_{x in F*} g conj(chi_k)| = |p <g, chi_k> - g(0)| / (p - 1)
     sups = [float(np.max(np.abs(p * mult_transform(g) - g.values[0]))) / (p - 1)
@@ -414,7 +412,8 @@ def check_simple_lemma(f1: Signal, f3: Signal, f4: Signal, S) -> MarginReport:
     p = ctx.p
     K = max(f.linf_norm() for f in (f1, f3, f4))
     for i, f in zip((1, 3, 4), (f1, f3, f4)):
-        _require(f.lp_norm(4) <= 3 + TOL, f"||f{i}||_4 > 3")
+        if not f.lp_norm(4) <= 3 + TOL:
+            raise ValueError(f"||f{i}||_4 > 3")
     mu_S = len(set(x % p for x in S)) / p
     lhs = abs(T(f1, indicator(ctx, S), f3, f4))
     rhs = K**3 / p + 9 * mu_S * min(f.lp_norm(2) for f in (f1, f3, f4))

@@ -297,13 +297,22 @@ class PairColoring:
 
     @staticmethod
     def from_json(obj: Mapping) -> "PairColoring":
+        """ValueError unless the group orders, the entries of T and those of
+        each class pair are exact JSON integers (no bool, float or string
+        read as one)."""
+        def ints(name, value) -> tuple:
+            if not (isinstance(value, list) and all(type(e) is int for e in value)):
+                raise ValueError(f'malformed pair coloring: "{name}" needs lists of '
+                                 f'JSON integers, got {value!r}')
+            return tuple(value)
+
         try:
-            group = FiniteGroup(tuple(obj["group"]))
-            T = tuple(tuple(t) for t in obj["T"])
+            group = FiniteGroup(ints("group", obj["group"]))
+            T = tuple(ints("T", t) for t in obj["T"])
             if len(T) > 2**EXTREMAL_MAX_R:  # the tables cost |T|^2 memory, |T|^3 time
                 raise ValueError(f"|T| = {len(T)} > 2^{EXTREMAL_MAX_R} breaks the "
                                  "5 s / 200 MB budget of one ramsey report")
-            classes = [frozenset((tuple(t), tuple(u)) for t, u in cls)
+            classes = [frozenset((ints("classes", t), ints("classes", u)) for t, u in cls)
                        for cls in obj["classes"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pair coloring: {exc!r}") from exc

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fpharmonics.calibration import AUDIT_CONSTANTS, CALIBRATION_SEED
-from fpharmonics.charsums import check_mixed_sum, gauss_sum, weil_product_sum
+from fpharmonics.charsums import gauss_sum, mixed_sum, weil_product_sum
 from fpharmonics.counting import (T, check_gvn_bounds, check_simple_lemma,
                                   differencing_sup, phased_character_example)
 from fpharmonics.field import MultChar, cached_field
@@ -273,9 +273,8 @@ def test_mixed_sum_budget_suite():
             k2 = int(rng.integers(0, p - 1))
             if a == 0 and b == 0 and k == 0 and k2 == 0:
                 a = 1
-            rep = check_mixed_sum(ctx, a, b, MultChar(k), MultChar(k2),
-                                  int(rng.integers(1, p)))
-            assert rep.ok()
+            rep = mixed_sum(ctx, a, b, MultChar(k), MultChar(k2), int(rng.integers(1, p)))
+            assert rep.ok() and rep.rhs == (3 * math.sqrt(p) + 2) / p
 
 
 # -- 9: pair colorings, dependent random choice, rich colors --------------------

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fpharmonics.charsums import (check_mixed_sum, gauss_sum, mixed_sum,
-                                  u3_box_sum, weil_product_sum)
+from fpharmonics import charsums
+from fpharmonics.charsums import gauss_sum, mixed_sum, u3_box_sum, weil_product_sum
+from fpharmonics.cli import main
 from fpharmonics.field import MultChar, cached_field, mult_char_values
 from fpharmonics.harmonic import difference_spectrum
 
@@ -79,8 +80,8 @@ def test_mixed_rejects_degenerate():
 
 def test_mixed_principal_characters_reduce_to_gauss():
     ctx = cached_field(31)
-    s, mag = mixed_sum(ctx, 2, 0, MultChar(0), MultChar(0), 5)
-    assert mag == pytest.approx(math.sqrt(31) / 31)
+    rep = mixed_sum(ctx, 2, 0, MultChar(0), MultChar(0), 5)
+    assert rep.lhs == pytest.approx(math.sqrt(31) / 31)
 
 
 def test_mixed_budget_suite(rng):
@@ -92,8 +93,7 @@ def test_mixed_budget_suite(rng):
             k, k2 = (int(rng.integers(0, p - 1)) for _ in range(2))
             if a == 0 and b == 0 and k == 0 and k2 == 0:
                 a = 1
-            rep = check_mixed_sum(ctx, a, b, MultChar(k), MultChar(k2),
-                                  int(rng.integers(1, p)))
+            rep = mixed_sum(ctx, a, b, MultChar(k), MultChar(k2), int(rng.integers(1, p)))
             assert rep.ok()
 
 
@@ -102,10 +102,57 @@ def test_mixed_magnitude_decreasing_trend():
     means = []
     for p in (31, 61, 101):
         ctx = cached_field(p)
-        mags = [mixed_sum(ctx, 1, b, MultChar(1), MultChar(2), 1)[1]
+        mags = [mixed_sum(ctx, 1, b, MultChar(1), MultChar(2), 1).lhs
                 for b in range(1, 11)]
         means.append(np.mean(mags))
     assert means[0] > means[1] > means[2]
+
+
+def all_mixed_sums(p):
+    """|E_x e_p(a x^2 + b x) chi_k(x) chi_k'(x + h)| as an array indexed
+    [h - 1, a, b, k, k'], summed directly: e_p(t) = exp(2 pi i t/p) and
+    chi_k(g^j) = exp(2 pi i k j/(p-1)) for the least primitive root g, with
+    chi_k(0) = 1."""
+    g = next(c for c in range(2, p) if len({pow(c, j, p) for j in range(p - 1)}) == p - 1)
+    dlog = np.zeros(p, dtype=np.int64)
+    for j in range(p - 1):
+        dlog[pow(g, j, p)] = j
+    x = np.arange(p)
+    chi = np.exp(2j * np.pi * np.outer(np.arange(p - 1), dlog) / (p - 1))  # [k, x]
+    ab = np.arange(p * p)[:, None]
+    phase = np.exp(2j * np.pi * ((ab // p * x * x + ab % p * x) % p) / p)  # [a p + b, x]
+    sums = [phase @ (chi[:, None, :] * chi[None, :, (x + h) % p]).reshape(-1, p).T
+            for h in range(1, p)]
+    return np.abs(np.array(sums)).reshape(p - 1, p, p, p - 1, p - 1) / p
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_mixed_sum_within_weil_budget_at_every_input(p):
+    # every admissible (a, b, k, k', h): the fully degenerate input, E = 1,
+    # is the one mixed_sum rejects
+    mags = all_mixed_sums(p)
+    mags[:, 0, 0, 0, 0] = 0
+    budget = (3 * math.sqrt(p) + 2) / p
+    assert mags.max() <= budget
+    h, a, b, k, k2 = np.unravel_index(np.argmax(mags), mags.shape)
+    rep = mixed_sum(cached_field(p), int(a), int(b), MultChar(int(k)), MultChar(int(k2)),
+                    int(h) + 1)
+    assert rep.ok() and rep.rhs == budget
+    assert rep.lhs == pytest.approx(mags.max(), rel=1e-12)
+
+
+def test_mixed_sum_forced_above_its_budget_exits_one(monkeypatch, capsys):
+    # from p = 13 the budget is below 1, so a sum of modulus 1 fails the
+    # claim: every table mixed_sum reads is patched to 1, and the Gauss and
+    # Weil sums, which read the same tables, are stubbed out
+    p = 13
+    assert (3 * math.sqrt(p) + 2) / p < 1
+    monkeypatch.setattr(charsums, "quad_phase_values", lambda ctx, a, b: np.ones(ctx.p))
+    monkeypatch.setattr(charsums, "mult_char_values", lambda ctx, chi: np.ones(ctx.p))
+    monkeypatch.setattr(charsums, "gauss_sum", lambda ctx, a, b: 0j)
+    monkeypatch.setattr(charsums, "weil_product_sum", lambda ctx, chis, shifts: (0j, 0.0))
+    assert main(["charsum", "--p", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: mixed_sum: lhs 1.0 > rhs ")
 
 
 def test_u3_box_quadratic_character():

@@ -13,8 +13,7 @@ from pathlib import Path
 import fpharmonics
 from fpharmonics import counting, harmonic
 from fpharmonics.calibration import AUDIT_CONSTANTS
-from fpharmonics.counting import (TOL, Coloring, HypothesisError,
-                                  MarginReport, T,
+from fpharmonics.counting import (TOL, Coloring, MarginReport, T,
                                   T_spectral_sums, T_tilde, _pair_walk,
                                   census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
@@ -241,7 +240,7 @@ def test_gvnqm_report_is_bit_identical_to_the_full_infimum(rng):
 def test_gvn_hypothesis_rejection():
     ctx = cached_field(13)
     big = Signal(ctx, np.full(13, 5.0, dtype=complex))
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError, match=r"^\|\|f1\|\|_2 > 1$"):
         check_gvn_bounds(big, big, big, big, which="u2plus")
 
 

@@ -39,6 +39,17 @@ def test_any_other_change_is_an_error(old, new):
     assert changed and lines[0] == "r: CHANGED"
 
 
+def test_a_changed_report_also_lists_its_float_moves():
+    # once only the changed keys were printed, hiding which floats moved
+    old = {"mixed": {"lhs": 0.25, "rhs": 0.75, "details": {"c": 0.88}}}
+    new = {"mixed": {"lhs": 0.25, "rhs": 0.5, "details": {}}}
+    assert golden_diff.verdict("r", [0, old, ""], [0, new, ""]) == ([
+        "r: CHANGED", "  .mixed.details: keys ['c'] -> []",
+        "  floats moved: 1; largest absolute change 0.25 at .mixed.rhs, "
+        "largest relative change 0.333 at .mixed.rhs",
+        "    .mixed.rhs: 0.75 -> 0.5"], True)
+
+
 def test_a_failed_subcommand_is_an_error():
     # the run's last stderr line says why; once it was dropped
     assert golden_diff.verdict("r", [0, {}, ""], [2, None, "error: --p 4 is not prime"]) == (

@@ -137,7 +137,6 @@ REPO_DIR = PACKAGE_DIR.parent.parent
 ROADMAP_OWNED = {
     "calibration.calibrate_gvn3": 4,
     "calibration.calibrate_gvnqm": 4,
-    "calibration.calibrate_mixed_sum": 4,
     "calibration.calibrate_countlemma": 4,
     "regularity.smooth_majorant": 7,
 }

@@ -14,7 +14,8 @@ three verdicts is printed:
   CHANGED        an int, string, bool or null changed (so a Fraction, which
                  reports write as [num, den], or a witness), or the
                  report's shape did, or the subcommand failed in a tree;
-                 the last stderr line of each tree's run is printed under it.
+                 the floats that moved beside such a change, and the last
+                 stderr line of each tree's run, are printed under it.
 
 Exit 0 when no report is CHANGED, 1 otherwise, 2 on a usage error.
 """
@@ -101,19 +102,29 @@ def verdict(name: str, old_run, new_run) -> tuple:
     if old_code or new_code:
         return [f"{name}: CHANGED: exit {old_code} -> {new_code}"] + stderr, True
     moves, changes = diff(old, new)
-    if changes:
-        return [f"{name}: CHANGED"] + [f"  {c}" for c in changes] + stderr, True
+    if changes:  # with the floats that moved beside them
+        return ([f"{name}: CHANGED"] + [f"  {c}" for c in changes]
+                + [f"  {line}" for line in move_lines(moves)] + stderr, True)
     if not moves:
         return [f"{name}: identical"], False
+    summary, *listed = move_lines(moves)
+    return [f"{name}: {summary}"] + listed, False
+
+
+def move_lines(moves) -> list:
+    """A summary line of the float moves, then each moved path with its old
+    and new value (the first SHOWN_MOVES); none when no float moved."""
+    if not moves:
+        return []
     absd = [(abs(b - a), p) for p, a, b in moves]
     reld = [(abs(b - a) / max(abs(a), abs(b)), p) for p, a, b in moves]
-    lines = [f"{name}: floats moved: {len(moves)}; largest absolute change "
+    lines = [f"floats moved: {len(moves)}; largest absolute change "
              f"{max(absd)[0]:.3g} at {max(absd)[1]}, largest relative change "
              f"{max(reld)[0]:.3g} at {max(reld)[1]}"]
     lines += [f"  {p}: {a!r} -> {b!r}" for p, a, b in moves[:SHOWN_MOVES]]
     if len(moves) > SHOWN_MOVES:
         lines.append(f"  ... and {len(moves) - SHOWN_MOVES} more")
-    return lines, False
+    return lines
 
 
 def main(argv=None) -> int:
