@@ -8,13 +8,13 @@ counting, and combinatorial searches over monochromatic {x, y, x+y, xy}
 patterns.
 """
 
-from .calibration import AUDIT_CONSTANTS, CALIBRATION_SEED
+from .calibration import CALIBRATION_SEED
 from .charsums import gauss_sum, mixed_sum, u3_box_sum, weil_product_sum
-from .counting import (Coloring, MarginReport, QuadrupleCensus, T,
-                       T_spectral_sums, T_tilde, census_quadruples,
-                       census_triples, check_gvn_bounds, check_simple_lemma,
-                       check_u2times_star_bound, differencing_sup,
-                       phased_character_example)
+from .counting import (AUDIT_CONSTANTS, Coloring, MarginReport,
+                       QuadrupleCensus, T, T_spectral_sums, T_tilde,
+                       census_quadruples, census_triples, check_gvn_bounds,
+                       check_simple_lemma, check_u2times_star_bound,
+                       differencing_sup, phased_character_example)
 from .field import FieldCtx, MultChar, cached_field, new_field
 from .harmonic import (NormResult, Signal, add_invert, add_transform,
                        convolve, indicator, inner_product, mult_transform,

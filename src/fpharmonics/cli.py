@@ -18,11 +18,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import TOL, MarginReport
+from .charsums import gauss_sum, mixed_sum, weil_product_sum
+from .counting import (TOL, Coloring, MarginReport, T, census_quadruples,
+                       check_gvn_bounds, phased_character_example)
 from .field import MultChar, cached_field
 from .harmonic import (Signal, add_invert, add_transform, convolve, norm_qm,
                        norm_u2_plus, norm_u2_times, norm_u3_plus,
                        random_signal, signal_load)
+from .qm import (QMSystem, TrigPoly, baby_count, bohr_set, box_fraction,
+                 check_bohr_density, counting_lemma_check)
+from .ramsey import (PairColoring, dependent_random_choice, extremal_coloring,
+                     find_rich_color)
+from .regularity import (build_atoms, decomposable_unit_signal,
+                         kvn_energy_increment, project, quad_decompose)
+from .search import fp_coloring_scan, interval_backtrack, interval_sweep
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -90,7 +99,6 @@ def _signal(infile, ctx, make) -> Signal:
 
 def _count_example(ctx) -> tuple:
     """(T, expected, |T - expected|) on the phased character example."""
-    from .counting import T, phased_character_example
     f1, f2, f3, f4, expected = phased_character_example(ctx)
     value = T(f1, f2, f3, f4)
     err = abs(value - expected)
@@ -158,7 +166,6 @@ def cmd_count(args):
 
 
 def cmd_census(args):
-    from .counting import Coloring, census_quadruples
     ctx = cached_field(args.p)
     if args.coloring:
         with open(args.coloring) as fh:
@@ -182,14 +189,12 @@ def cmd_census(args):
 
 
 def cmd_scan(args):
-    from .search import fp_coloring_scan
     ctx = cached_field(args.p)
     return fp_coloring_scan(ctx, args.r, mode=args.mode, count=args.count,
                             rng=_rng(args))
 
 
 def cmd_bohr(args):
-    from .qm import QMSystem, box_fraction, check_bohr_density
     ctx = cached_field(args.p)
     psi = QMSystem.random(ctx, args.d, _rng(args))
     frac, floor = box_fraction(psi, args.eps)
@@ -203,7 +208,6 @@ def cmd_bohr(args):
 
 
 def cmd_equidist(args):
-    from .qm import QMSystem, TrigPoly, baby_count
     ctx = cached_field(args.p)
     rng = _rng(args)
     psi = QMSystem.random(ctx, args.d, rng)
@@ -214,7 +218,6 @@ def cmd_equidist(args):
 
 
 def cmd_countlemma(args):
-    from .qm import QMSystem, TrigPoly, bohr_set, counting_lemma_check
     ctx = cached_field(args.p)
     rng = _rng(args)
     psi = QMSystem.random(ctx, args.d, rng)
@@ -225,7 +228,6 @@ def cmd_countlemma(args):
 
 
 def cmd_decompose(args):
-    from .regularity import decomposable_unit_signal, quad_decompose
     ctx = cached_field(args.p)
     f = _signal(args.infile, ctx, lambda: decomposable_unit_signal(ctx, _rng(args)))
     dec = quad_decompose(f, args.eps)
@@ -237,8 +239,6 @@ def cmd_decompose(args):
 
 
 def cmd_kvn(args):
-    from .qm import QMSystem
-    from .regularity import kvn_energy_increment
     ctx = cached_field(args.p)
     if args.r > args.p:
         raise ValueError(f"--r {args.r}: one signal per color class, at most p")
@@ -256,7 +256,6 @@ def cmd_kvn(args):
 
 
 def cmd_ramsey(args):
-    from .ramsey import PairColoring, extremal_coloring, find_rich_color
     if args.coloring:
         with open(args.coloring) as fh:
             col = PairColoring.from_json(json.load(fh))
@@ -271,7 +270,6 @@ def cmd_ramsey(args):
 
 
 def cmd_drc(args):
-    from .ramsey import dependent_random_choice
     rng = _rng(args)
     nx, ny = int(rng.integers(4, 20)), int(rng.integers(4, 20))
     wx = rng.integers(1, 5, size=nx)
@@ -291,7 +289,6 @@ def cmd_drc(args):
 
 
 def cmd_charsum(args):
-    from .charsums import gauss_sum, mixed_sum, weil_product_sum
     ctx = cached_field(args.p)
     rng = _rng(args)
     a = int(rng.integers(1, args.p))
@@ -313,7 +310,6 @@ def cmd_charsum(args):
 
 
 def cmd_search(args):
-    from .search import interval_backtrack, interval_sweep
     if args.sweep:
         sw = interval_sweep(args.r, args.N, distinct=args.distinct,
                             budget=args.budget)
@@ -330,12 +326,6 @@ def cmd_search(args):
 
 def cmd_verify(args):
     """Compact cross-module property sweep at one prime; any failure exits 1."""
-    from .counting import check_gvn_bounds
-    from .qm import QMSystem, TrigPoly, baby_count, bohr_set, counting_lemma_check
-    from .ramsey import extremal_coloring, find_rich_color
-    from .regularity import (build_atoms, decomposable_unit_signal, project,
-                             quad_decompose)
-
     ctx = cached_field(args.p)
     rng = _rng(args)
     f = random_signal(ctx, rng, unit_l2=True)

@@ -48,8 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .calibration import AUDIT_CONSTANTS
-from .counting import ROW_BLOCK, MarginReport, T
+from .counting import AUDIT_CONSTANTS, ROW_BLOCK, MarginReport, T
 from .field import FieldCtx
 from .harmonic import Signal, indicator
 
@@ -318,9 +317,10 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
     every p, for d >= 1: it costs O(2 |G+| + |Gx|) orbit rows, not |H|.
 
     On-lattice terms average to their coefficient exactly; each off-lattice
-    term is a single mixed character sum, at most babycount_single_mode /
-    sqrt(p) in modulus (Weil).  The margin is asserted within that bound
-    summed over the off-lattice terms."""
+    term is a single mixed character sum, at most (2 sqrt(p) + 2)/p <=
+    6/sqrt(p) in modulus by Weil.  The margin is asserted within that bound
+    summed over the off-lattice terms.  It can fail from p = 37, where
+    6/sqrt(p) drops below a term's trivial ceiling 1."""
     _check_trig_budget(F)
     lhs = complex(np.mean(compose_signal(psi, F).values))
     r1, r2, r3, c = _lattice_residues(psi, F)
@@ -331,7 +331,7 @@ def baby_count(psi: QMSystem, F: TrigPoly) -> tuple:
         MarginReport.check("orthogonality mismatch", abs(rhs - rhs_enum), 0.0,
                            lattice_sum=rhs, H_average=rhs_enum)
     margin = abs(lhs - rhs)
-    bound = AUDIT_CONSTANTS["babycount_single_mode"] / math.sqrt(psi.ctx.p) * off_mass
+    bound = 6 / math.sqrt(psi.ctx.p) * off_mass
     MarginReport.check("baby count single-mode bound", margin, bound, off_mass=off_mass)
     return lhs, complex(rhs), margin
 

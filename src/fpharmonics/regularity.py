@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calibration import AUDIT_CONSTANTS
-from .counting import TOL, MarginReport
+from .counting import AUDIT_CONSTANTS, TOL, MarginReport
 from .field import FieldCtx, quad_phase_values
 from .harmonic import (NormResult, Signal, inner_product, norm_qm, norm_u3_plus,
                        quad_phase_inner_products)
@@ -203,8 +202,10 @@ def correlation_system(ctx: FieldCtx, r: int, s: int, k: int) -> tuple:
 def _correlating_projection(f: Signal, qm: NormResult, delta: float, R: int):
     """From f's QM norm and maximizer, build the 2-dimensional system Phi
     and g = F o Phi, and certify |<f, Pi_R^Phi g>| >= delta - c ||f||_1 / R
-    with c = 6*pi (the Lipschitz budget of F over one atom).  Requires
-    ||f||_QM >= delta.  Returns (Phi, g, witness, atoms)."""
+    with c = 6*pi, derived: |F(w) - F(v)| <= 2*pi*(3/R) for F = e(theta1 +
+    theta2') z1 and w, v in one atom.  The floor can fail at any p, but
+    only where it is positive, so not at the CLI's R = 32, delta = 0.3.
+    Requires ||f||_QM >= delta.  Returns (Phi, g, witness, atoms)."""
     if qm.value < delta:
         raise ValueError(f"||f||_QM = {qm.value:.4f} < delta = {delta}")
     r, s, k = qm.witness
@@ -213,7 +214,7 @@ def _correlating_projection(f: Signal, qm: NormResult, delta: float, R: int):
     atoms = build_atoms(phi, R)
     pg = project(atoms, g)
     witness = abs(inner_product(f, pg))
-    c = AUDIT_CONSTANTS["lipschitz_c"] * max(1.0, f.lp_norm(1))
+    c = 6 * math.pi * max(1.0, f.lp_norm(1))
     MarginReport.check("witness above the certified floor", delta - c / R, witness)
     return phi, g, witness, atoms
 

@@ -304,7 +304,8 @@ def fp_coloring_scan(ctx: FieldCtx, r: int, mode: str = "exhaustive",
     else:
         if rng is None:
             rng = np.random.default_rng()
-        stacks = (np.array([rng.integers(0, r, size=p) for _ in range(min(size, count - lo))])
+        # one draw per block: the stream of one size-p draw per coloring
+        stacks = (rng.integers(0, r, size=(min(size, count - lo), p))
                   for lo in range(0, count, size))
 
     best = None

@@ -15,10 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpharmonics.calibration import AUDIT_CONSTANTS, CALIBRATION_SEED
+from fpharmonics.calibration import CALIBRATION_SEED
 from fpharmonics.charsums import gauss_sum, mixed_sum, weil_product_sum
-from fpharmonics.counting import (T, check_gvn_bounds, check_simple_lemma,
-                                  differencing_sup, phased_character_example)
+from fpharmonics.counting import (AUDIT_CONSTANTS, T, check_gvn_bounds,
+                                  check_simple_lemma, differencing_sup,
+                                  phased_character_example)
 from fpharmonics.field import MultChar, cached_field
 from fpharmonics.harmonic import (Signal, add_invert, add_transform, convolve,
                                   inner_product, norm_qm, norm_u2_plus,
@@ -175,7 +176,7 @@ def test_baby_count_single_mode_error():
         F = TrigPoly(1, {((1,), (0,), (0,)): 1.0})
         lhs, rhs, margin = baby_count(psi, F)
         assert rhs == 0
-        assert abs(lhs) <= AUDIT_CONSTANTS["babycount_single_mode"] / math.sqrt(p)
+        assert abs(lhs) <= 6 / math.sqrt(p)
 
 
 # -- 6: the counting lemma, both halves ----------------------------------------

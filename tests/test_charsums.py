@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fpharmonics import charsums
+from fpharmonics import charsums, cli
 from fpharmonics.charsums import gauss_sum, mixed_sum, u3_box_sum, weil_product_sum
 from fpharmonics.cli import main
 from fpharmonics.field import MultChar, cached_field, mult_char_values
@@ -144,13 +144,14 @@ def test_mixed_sum_within_weil_budget_at_every_input(p):
 def test_mixed_sum_forced_above_its_budget_exits_one(monkeypatch, capsys):
     # from p = 13 the budget is below 1, so a sum of modulus 1 fails the
     # claim: every table mixed_sum reads is patched to 1, and the Gauss and
-    # Weil sums, which read the same tables, are stubbed out
+    # Weil sums, which read the same tables, are stubbed out where the CLI
+    # calls them
     p = 13
     assert (3 * math.sqrt(p) + 2) / p < 1
     monkeypatch.setattr(charsums, "quad_phase_values", lambda ctx, a, b: np.ones(ctx.p))
     monkeypatch.setattr(charsums, "mult_char_values", lambda ctx, chi: np.ones(ctx.p))
-    monkeypatch.setattr(charsums, "gauss_sum", lambda ctx, a, b: 0j)
-    monkeypatch.setattr(charsums, "weil_product_sum", lambda ctx, chis, shifts: (0j, 0.0))
+    monkeypatch.setattr(cli, "gauss_sum", lambda ctx, a, b: 0j)
+    monkeypatch.setattr(cli, "weil_product_sum", lambda ctx, chis, shifts: (0j, 0.0))
     assert main(["charsum", "--p", str(p)]) == 1
     assert capsys.readouterr().err.startswith("FAILED: mixed_sum: lhs 1.0 > rhs ")
 

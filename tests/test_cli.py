@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 import fpharmonics
 from fpharmonics import cli, counting
-from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.cli import build_parser, main
-from fpharmonics.counting import MarginReport
+from fpharmonics.counting import AUDIT_CONSTANTS, MarginReport
 from fpharmonics.field import FieldCtx
 from fpharmonics.harmonic import Signal
 from fpharmonics.ramsey import extremal_coloring
@@ -271,6 +270,7 @@ def test_oversized_p_for_the_p_by_p_kernels_exits_two(command, capsys, monkeypat
     def refuse(*fs):
         raise RuntimeError("T ran before the p x p refusal")
     monkeypatch.setattr(counting, "T", refuse)
+    monkeypatch.setattr(cli, "T", refuse)
     assert main([command, "--p", "100003"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_GRID_PRIME = 2048" in err, err
@@ -342,10 +342,10 @@ def test_verify_fails_under_optimize_when_T_is_wrong():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys\n"
             "import fpharmonics.counting as counting\n"
-            "from fpharmonics.cli import main\n"
+            "from fpharmonics import cli\n"
             "T = counting.T\n"
-            "counting.T = lambda *fs: T(*fs) + 1\n"
-            "sys.exit(main(['verify']))\n")
+            "counting.T = cli.T = lambda *fs: T(*fs) + 1\n"
+            "sys.exit(cli.main(['verify']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stdout + proc.stderr

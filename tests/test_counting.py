@@ -12,9 +12,8 @@ from pathlib import Path
 
 import fpharmonics
 from fpharmonics import counting, harmonic
-from fpharmonics.calibration import AUDIT_CONSTANTS
-from fpharmonics.counting import (TOL, Coloring, MarginReport, T,
-                                  T_spectral_sums, T_tilde, _pair_walk,
+from fpharmonics.counting import (AUDIT_CONSTANTS, TOL, Coloring, MarginReport,
+                                  T, T_spectral_sums, T_tilde, _pair_walk,
                                   census_quadruples, census_triples,
                                   check_gvn_bounds, check_simple_lemma,
                                   check_u2times_star_bound, differencing_sup,

@@ -53,6 +53,69 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# -- imports at module top, and no cycle among the modules -------------------------
+
+def nested_imports(tree) -> list:
+    """(line, enclosing def or class) for each import inside a function or
+    class body."""
+    return [(node.lineno, scope.name) for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def package_imports(tree) -> set:
+    """The package modules that tree imports, wherever the import sits:
+    `from .x import ...`, `from . import x` and `import fpharmonics.x`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("fpharmonics.")}
+    return {name.split(".")[0] for name in out}
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle [a, b, ..., a] of the graph {module: imported modules}, or []."""
+    state = {}  # 1 while on the DFS path, 2 when done
+
+    def visit(node, path):
+        state[node] = 1
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (cycle := visit(nxt, path + [nxt])):
+                return cycle
+        state[node] = 2
+        return []
+
+    for start in sorted(graph):
+        if start not in state and (cycle := visit(start, [start])):
+            return cycle
+    return []
+
+
+def test_import_detectors():
+    source = ("from . import a\nfrom .b import x\nimport fpharmonics.c\nimport json\n"
+              "def f():\n    from .d import y\nclass K:\n    import math\n")
+    tree = ast.parse(source)
+    assert nested_imports(tree) == [(6, "f"), (8, "K")]
+    assert package_imports(tree) == {"a", "b", "c", "d"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function_or_class(path):
+    assert nested_imports(ast.parse(path.read_text())) == []
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {path.stem: package_imports(ast.parse(path.read_text())) for path in MODULES}
+    assert import_cycle(graph) == []
+
+
 # -- the functions perfbench times by name ----------------------------------------
 
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -275,6 +338,32 @@ def test_readme_names_resolve():
         if name and not set(name.group(1).split(".")) <= known:
             missing.append(span)
     assert missing == []
+
+
+def claim_names(tree) -> list:
+    """The name of each MarginReport.check call in tree, None where it is
+    not a string literal."""
+    return [node.args[0].value if isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str) else None
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "check" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "MarginReport"]
+
+
+def test_claim_table_lists_every_claim_once():
+    # a claim name a table row does not give would escape the README's
+    # account of kinds, constants and vacuous claims
+    names = set()
+    for path in MODULES:
+        found = claim_names(ast.parse(path.read_text()))
+        assert None not in found, path.name
+        names.update(found)
+    section = README.split("\n## Claim table\n")[1].split("\n## ")[0]
+    rows = [name.replace("\\|", "|")
+            for name in re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)]
+    assert len(rows) == len(set(rows))
+    assert set(rows) == names, set(rows) ^ names
 
 
 def test_readme_commands_parse():

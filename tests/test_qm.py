@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import fpharmonics
-from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.field import cached_field
+from fpharmonics.harmonic import Signal
 from fpharmonics.qm import (QMSystem, TrigPoly, _average_over_H,
                             _lattice_residues, as_fraction, baby_count,
                             bohr_set, box_fraction, check_bohr_density,
@@ -324,12 +324,17 @@ def test_lattice_residue_sums_match_the_dot_product_loops(rng):
 
 
 def test_baby_count_asserts_the_single_mode_bound(monkeypatch):
-    psi = system(11, [(1, 1)])
+    # the off-lattice term e(x^2/p) (coefficient 1) averages to p^{-1/2};
+    # an average of 1.5 puts it at its trivial ceiling 1, which the bound
+    # 6/sqrt(p) admits at p = 31 and refuses from p = 37 on
     F = TrigPoly(1, {((1,), (0,), (0,)): 1.0, ((0,), (0,), (0,)): 0.5})
-    baby_count(psi, F)  # |E_x e(x^2/11)| = 11^{-1/2} <= 6/sqrt(11)
-    monkeypatch.setitem(AUDIT_CONSTANTS, "babycount_single_mode", 1e-6)
-    with pytest.raises(AssertionError, match="single-mode bound"):
-        baby_count(psi, F)
+    for p in (31, 37):
+        baby_count(system(p, [(1, 1)]), F)
+    monkeypatch.setattr("fpharmonics.qm.compose_signal",
+                        lambda psi, F: Signal(psi.ctx, np.full(psi.ctx.p, 1.5)))
+    assert baby_count(system(31, [(1, 1)]), F)[2] == pytest.approx(1.0)
+    with pytest.raises(AssertionError, match="^baby count single-mode bound: "):
+        baby_count(system(37, [(1, 1)]), F)
 
 
 def test_cross_checks_fire_when_the_lattice_test_lies(monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 
 import fpharmonics
 import fpharmonics.ramsey as ramsey
+from fpharmonics import cli
 from fpharmonics.cli import main
 from fpharmonics.ramsey import (FiniteGroup, PairColoring, boolean_cube,
                                 dependent_random_choice, eps_r,
@@ -349,9 +350,10 @@ def test_drc_matches_the_fraction_oracle(monkeypatch):
     cases = [_drc_inputs(seed) for seed in range(300)]
     # the drc_seed_5 golden's inputs, as the CLI draws them
     seen = []
-    monkeypatch.setattr(ramsey, "dependent_random_choice",
+    monkeypatch.setattr(cli, "dependent_random_choice",
                         lambda *args: seen.append(args) or dependent_random_choice(*args))
     assert main(["drc", "--seed", "5", "--out", os.devnull]) == 0
+    assert len(seen) == 1
     checked = 0
     for nu_x, nu_y, A, eta in cases + seen:
         want = drc_fractions(nu_x, nu_y, A, eta)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fpharmonics import regularity
-from fpharmonics.calibration import AUDIT_CONSTANTS
 from fpharmonics.cli import main
+from fpharmonics.counting import AUDIT_CONSTANTS
 from fpharmonics.field import MultChar, cached_field, mult_char_values
 from fpharmonics.harmonic import (Signal, inner_product, norm_qm,
                                   norm_u3_plus, random_signal)
